@@ -12,6 +12,21 @@ namespace {
 using arch::Opcode;
 using arch::Word;
 
+// Two's-complement divide: x / 0 is defined as 0 in this model, and the
+// one overflowing quotient, INT64_MIN / -1, wraps to INT64_MIN (its
+// remainder is 0). Host division would trap on it.
+std::int64_t wrap_div(std::int64_t a, std::int64_t b) {
+  if (b == 0) return 0;
+  if (b == -1) {
+    return static_cast<std::int64_t>(0 - static_cast<std::uint64_t>(a));
+  }
+  return a / b;
+}
+
+std::int64_t wrap_rem(std::int64_t a, std::int64_t b) {
+  return (b == 0 || b == -1) ? 0 : a % b;
+}
+
 }  // namespace
 
 Executor::Executor(const arch::Program& program, const ObjectSpace& space,
@@ -196,18 +211,13 @@ bool Executor::compute(const Node& node, const Word* args, Word& result,
       break;
   }
   switch (op) {
-    // Integer add/sub/mul wrap like the hardware's two's-complement
+    // Integer add/sub/mul/neg wrap like the hardware's two's-complement
     // datapath; compute in unsigned so the wrap is defined behaviour.
     case Opcode::kIAdd: result = arch::make_word_i(static_cast<std::int64_t>(args[0].u + args[1].u)); return true;
     case Opcode::kISub: result = arch::make_word_i(static_cast<std::int64_t>(args[0].u - args[1].u)); return true;
     case Opcode::kIMul: result = arch::make_word_i(static_cast<std::int64_t>(args[0].u * args[1].u)); return true;
-    case Opcode::kIDiv:
-      // Hardware divide-by-zero is defined as 0 in this model.
-      result = arch::make_word_i(args[1].i == 0 ? 0 : args[0].i / args[1].i);
-      return true;
-    case Opcode::kIRem:
-      result = arch::make_word_i(args[1].i == 0 ? 0 : args[0].i % args[1].i);
-      return true;
+    case Opcode::kIDiv: result = arch::make_word_i(wrap_div(args[0].i, args[1].i)); return true;
+    case Opcode::kIRem: result = arch::make_word_i(wrap_rem(args[0].i, args[1].i)); return true;
     case Opcode::kIShl:
       result = arch::make_word_u(args[0].u << (args[1].u & 63));
       return true;
@@ -217,7 +227,7 @@ bool Executor::compute(const Node& node, const Word* args, Word& result,
     case Opcode::kIAnd: result = arch::make_word_u(args[0].u & args[1].u); return true;
     case Opcode::kIOr: result = arch::make_word_u(args[0].u | args[1].u); return true;
     case Opcode::kIXor: result = arch::make_word_u(args[0].u ^ args[1].u); return true;
-    case Opcode::kINeg: result = arch::make_word_i(-args[0].i); return true;
+    case Opcode::kINeg: result = arch::make_word_i(static_cast<std::int64_t>(0 - args[0].u)); return true;
     case Opcode::kFAdd: result = arch::make_word_f(args[0].f + args[1].f); return true;
     case Opcode::kFSub: result = arch::make_word_f(args[0].f - args[1].f); return true;
     case Opcode::kFMul: result = arch::make_word_f(args[0].f * args[1].f); return true;

@@ -30,12 +30,13 @@ struct MemoryBlockConfig {
   int access_latency = 4;
 };
 
-/// One 64 KB SRAM memory block with word addressing.
+/// One 64 KB SRAM memory block with word addressing. Storage is
+/// allocated on the first nonzero write; until then every word reads 0.
 class MemoryBlock {
  public:
   explicit MemoryBlock(MemoryBlockConfig config = {});
 
-  std::size_t size() const { return data_.size(); }
+  std::size_t size() const { return config_.words; }
   int access_latency() const { return config_.access_latency; }
 
   arch::Word read(std::size_t address) const;
@@ -56,12 +57,17 @@ class MemoryBlock {
   static arch::Word poison_word();
 
   /// Checkpoint codec: data is sparse-encoded (only nonzero words), so
-  /// a mostly-empty 64 KB block costs a few bytes in the snapshot.
+  /// a mostly-empty 64 KB block costs a few bytes in the snapshot. A
+  /// restore with no nonzero word leaves the block without storage.
   void save(snapshot::Writer& w) const;
   void restore(snapshot::Reader& r);
 
  private:
+  /// Sets one word, allocating storage first unless `value` is 0.
+  void store(std::size_t address, arch::Word value);
+
   MemoryBlockConfig config_;
+  /// Empty (all words 0) or exactly config_.words words.
   std::vector<arch::Word> data_;
   bool poisoned_ = false;
 };

@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "arch/object.hpp"
@@ -39,9 +38,14 @@ class ObjectSpace {
   bool empty() const { return stack_.empty(); }
 
   /// 0-based stack distance of `id` (0 = top), or nullopt on miss.
-  std::optional<int> find(arch::ObjectId id) const;
+  std::optional<int> find(arch::ObjectId id) const {
+    if (!contains(id)) return std::nullopt;
+    return index_[id];
+  }
 
-  bool contains(arch::ObjectId id) const { return find(id).has_value(); }
+  bool contains(arch::ObjectId id) const {
+    return id < index_.size() && index_[id] != kAbsent;
+  }
 
   /// Physical array position of a resident object (== stack distance).
   int position_of(arch::ObjectId id) const;
@@ -53,7 +57,7 @@ class ObjectSpace {
   arch::ObjectId bottom() const;
 
   /// Enters `id` at the top, shifting all residents down one. Requires
-  /// !full() and id not already resident.
+  /// !full(), id < arch::kObjectIdLimit and id not already resident.
   void insert_top(arch::ObjectId id);
 
   /// Removes and returns the bottom (LRU) object. Requires !empty().
@@ -84,16 +88,24 @@ class ObjectSpace {
   std::string render() const;
 
   /// Checkpoint codec. restore() overwrites capacity (it shrinks at
-  /// runtime via reduce_capacity) and rebuilds the id index.
+  /// runtime via reduce_capacity) and rebuilds the id index; a stack
+  /// larger than its capacity, a duplicate id or an id at or above
+  /// arch::kObjectIdLimit throws snapshot::SnapshotError.
   void save(snapshot::Writer& w) const;
   void restore(snapshot::Reader& r);
 
  private:
-  void reindex(std::size_t from);
+  static constexpr int kAbsent = -1;
+
+  /// Re-indexes stack positions [from, to).
+  void reindex(std::size_t from, std::size_t to);
 
   int capacity_;
   std::vector<arch::ObjectId> stack_;  // [0] = top
-  std::unordered_map<arch::ObjectId, int> index_;
+  /// index_[id] = stack position of `id`, or kAbsent. Object ids are
+  /// dense per program, so a flat array indexed by id replaces a hash
+  /// map; it grows to the largest id ever inserted.
+  std::vector<int> index_;
   std::uint64_t version_ = 0;
 };
 

@@ -21,6 +21,11 @@ using ObjectId = std::uint32_t;
 /// Sentinel for "no object".
 inline constexpr ObjectId kNoObject = 0xFFFFFFFFu;
 
+/// Every resident object id is below this bound: the configuration
+/// stream packs an id into 16 bits with 0xFFFF as its no-object field
+/// (arch/serialize.hpp), and the object space indexes positions by id.
+inline constexpr ObjectId kObjectIdLimit = 0xFFFFu;
+
 /// A 64-bit datapath word. The adaptive processor is untyped at the
 /// transport level; each operator interprets the bits it receives.
 union Word {

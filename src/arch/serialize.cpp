@@ -173,7 +173,7 @@ Program from_text(const std::string& text) {
 
 namespace {
 
-constexpr std::uint64_t kNoField = 0xFFFFu;
+constexpr std::uint64_t kNoField = kObjectIdLimit;
 
 std::uint64_t pack_id(ObjectId id) {
   if (id == kNoObject) return kNoField;

@@ -9,15 +9,38 @@
 
 namespace vlsip::csd {
 
+namespace {
+
+bool test_bit(const std::vector<std::uint64_t>& words, std::size_t idx) {
+  return (words[idx >> 6] >> (idx & 63)) & 1u;
+}
+
+void set_bit(std::vector<std::uint64_t>& words, std::size_t idx) {
+  words[idx >> 6] |= 1ull << (idx & 63);
+}
+
+/// Calls fn(word, mask) for every bitword overlapping bits [b, e), with
+/// `mask` selecting the range's bits within that word.
+template <typename Fn>
+void for_each_word(std::size_t b, std::size_t e, Fn&& fn) {
+  while (b < e) {
+    const std::size_t word = b >> 6;
+    const std::size_t stop = std::min(e, (word + 1) << 6);
+    const std::size_t n = stop - b;
+    const std::uint64_t bits = n == 64 ? ~0ull : (1ull << n) - 1;
+    fn(word, bits << (b & 63));
+    b = stop;
+  }
+}
+
+}  // namespace
+
 DynamicCsdNetwork::DynamicCsdNetwork(CsdConfig config, Trace* trace)
     : config_(config), trace_(trace) {
   VLSIP_REQUIRE(config_.positions >= 2, "need at least two positions");
   VLSIP_REQUIRE(config_.channels >= 1, "need at least one channel");
-  occupancy_.assign(static_cast<std::size_t>(config_.channels) *
-                        (config_.positions - 1),
-                    kNoRoute);
-  dead_.assign(occupancy_.size(), false);
-  blocked_.assign((occupancy_.size() + 63) / 64, 0ull);
+  blocked_.assign((segment_count() + 63) / 64, 0ull);
+  dead_.assign(blocked_.size(), 0ull);
   claimed_per_channel_.assign(config_.channels, 0);
 }
 
@@ -48,24 +71,19 @@ bool DynamicCsdNetwork::span_free(ChannelId channel, Position lo,
   return (blocked_[lw] & tail) == 0;
 }
 
-void DynamicCsdNetwork::claim(ChannelId c, Position lo, Position hi,
-                              RouteId id) {
-  for (Position s = lo; s < hi; ++s) {
-    const std::size_t idx = segment_index(c, s);
-    occupancy_[idx] = id;
-    block_bit(idx);
-  }
+void DynamicCsdNetwork::claim(ChannelId c, Position lo, Position hi) {
+  for_each_word(segment_index(c, lo), segment_index(c, hi),
+                [this](std::size_t w, std::uint64_t m) { blocked_[w] |= m; });
   claimed_per_channel_[c] += hi - lo;
   claimed_total_ += hi - lo;
   ++version_;
 }
 
 void DynamicCsdNetwork::unclaim(ChannelId c, Position lo, Position hi) {
-  for (Position s = lo; s < hi; ++s) {
-    const std::size_t idx = segment_index(c, s);
-    occupancy_[idx] = kNoRoute;
-    if (!dead_[idx]) unblock_bit(idx);
-  }
+  for_each_word(segment_index(c, lo), segment_index(c, hi),
+                [this](std::size_t w, std::uint64_t m) {
+                  blocked_[w] = (blocked_[w] & ~m) | (dead_[w] & m);
+                });
   claimed_per_channel_[c] -= hi - lo;
   claimed_total_ -= hi - lo;
   ++version_;
@@ -103,6 +121,21 @@ std::optional<RouteId> DynamicCsdNetwork::establish(Position source,
     return std::nullopt;
   }
 
+  const RouteId id = add_route(source, sink, *channel);
+  now_ += handshake_latency(source, sink);
+  if (trace_) {
+    trace_->event(now_, obs::Layer::kCsd, "csd",
+                  static_cast<std::int64_t>(id),
+                  "route " + std::to_string(source) + "->" +
+                      std::to_string(sink) + " granted channel " +
+                      std::to_string(*channel),
+                  handshake_latency(source, sink));
+  }
+  return id;
+}
+
+RouteId DynamicCsdNetwork::add_route(Position source, Position sink,
+                                     ChannelId channel) {
   RouteId id;
   if (!free_slots_.empty()) {
     id = free_slots_.back();
@@ -115,19 +148,9 @@ std::optional<RouteId> DynamicCsdNetwork::establish(Position source,
   r.id = id;
   r.source = source;
   r.sink = sink;
-  r.channel = *channel;
-  claim(*channel, r.lo(), r.hi(), id);
+  r.channel = channel;
+  claim(channel, r.lo(), r.hi());
   ++active_routes_;
-
-  now_ += handshake_latency(source, sink);
-  if (trace_) {
-    trace_->event(now_, obs::Layer::kCsd, "csd",
-                  static_cast<std::int64_t>(id),
-                  "route " + std::to_string(source) + "->" +
-                      std::to_string(sink) + " granted channel " +
-                      std::to_string(*channel),
-                  handshake_latency(source, sink));
-  }
   return id;
 }
 
@@ -155,9 +178,10 @@ void DynamicCsdNetwork::release_at(Position p) {
   }
 }
 
-std::optional<RouteId> DynamicCsdNetwork::establish_fanout(
+std::optional<FanoutRoutes> DynamicCsdNetwork::establish_fanout(
     Position source, const std::vector<Position>& sinks) {
   VLSIP_REQUIRE(!sinks.empty(), "fan-out needs at least one sink");
+  VLSIP_REQUIRE(source < config_.positions, "fan-out source out of range");
   Position lo = source;
   Position hi = source;
   for (Position s : sinks) {
@@ -170,46 +194,31 @@ std::optional<RouteId> DynamicCsdNetwork::establish_fanout(
   for (ChannelId c = 0; c < config_.channels; ++c) {
     if (!span_free(c, lo, hi)) continue;
     ++grants_;
-    RouteId id;
-    if (!free_slots_.empty()) {
-      id = free_slots_.back();
-      free_slots_.pop_back();
-    } else {
-      id = static_cast<RouteId>(routes_.size());
-      routes_.push_back(Route{});
-    }
-    Route& r = routes_[id];
-    r.id = id;
-    r.source = source;
-    // Record the farthest sink; the claim covers every sink in between.
-    r.sink = (hi == source) ? lo : hi;
-    r.channel = c;
-    claim(c, lo, hi, id);
-    ++active_routes_;
+    // One route per side, each to that side's farthest sink: together
+    // they claim exactly [lo, hi), every sink in between included.
+    FanoutRoutes out;
+    out.first = add_route(source, hi == source ? lo : hi, c);
+    if (lo < source && hi > source) out.second = add_route(source, lo, c);
     if (trace_) {
       trace_->event(now_, obs::Layer::kCsd, "csd",
-                    static_cast<std::int64_t>(id),
+                    static_cast<std::int64_t>(out.first),
                     "fanout from " + std::to_string(source) + " over [" +
                         std::to_string(lo) + "," + std::to_string(hi) +
                         "] on channel " + std::to_string(c));
     }
-    return id;
+    return out;
   }
   ++rejects_;
   return std::nullopt;
 }
 
 void DynamicCsdNetwork::shift_down_one() {
-  // Shift claims by +1 position. Work on a cleared occupancy map so a
-  // claim moving into a segment vacated by another claim is handled
-  // order-independently.
-  std::fill(occupancy_.begin(), occupancy_.end(), kNoRoute);
-  std::fill(blocked_.begin(), blocked_.end(), 0ull);
+  // Shift claims by +1 position. Work on a cleared claim map (only the
+  // dead segments blocked) so a claim moving into a segment vacated by
+  // another claim is handled order-independently.
+  blocked_ = dead_;
   std::fill(claimed_per_channel_.begin(), claimed_per_channel_.end(), 0u);
   claimed_total_ = 0;
-  for (std::size_t i = 0; i < dead_.size(); ++i) {
-    if (dead_[i]) block_bit(i);
-  }
   ++version_;
   for (RouteId id = 0; id < routes_.size(); ++id) {
     Route& r = routes_[id];
@@ -256,7 +265,7 @@ void DynamicCsdNetwork::shift_down_one() {
       }
       r.channel = fallback;
     }
-    claim(r.channel, r.lo(), r.hi(), id);
+    claim(r.channel, r.lo(), r.hi());
   }
   ++now_;
   if (trace_) {
@@ -270,16 +279,17 @@ SegmentKillResult DynamicCsdNetwork::kill_segment(ChannelId channel,
   VLSIP_REQUIRE(segment < config_.positions - 1, "segment out of range");
   SegmentKillResult result;
   const std::size_t idx = segment_index(channel, segment);
-  if (dead_[idx]) return result;  // already killed
+  if (test_bit(dead_, idx)) return result;  // already killed
 
-  const RouteId victim = occupancy_[idx];
+  const RouteId victim =
+      test_bit(blocked_, idx) ? route_over(channel, segment) : kNoRoute;
   if (victim != kNoRoute) {
     // Tear the route off the dead wire, then re-handshake: the fig. 2
     // procedure naturally finds a surviving channel.
     const Route torn = routes_[victim];
     release(victim);
-    dead_[idx] = true;
-    block_bit(idx);
+    set_bit(dead_, idx);
+    set_bit(blocked_, idx);
     ++version_;
     result.affected = 1;
     if (establish(torn.source, torn.sink).has_value()) {
@@ -288,8 +298,8 @@ SegmentKillResult DynamicCsdNetwork::kill_segment(ChannelId channel,
       ++result.dropped;
     }
   } else {
-    dead_[idx] = true;
-    block_bit(idx);
+    set_bit(dead_, idx);
+    set_bit(blocked_, idx);
     ++version_;
   }
   ++segments_killed_;
@@ -306,16 +316,26 @@ SegmentKillResult DynamicCsdNetwork::kill_segment(ChannelId channel,
   return result;
 }
 
+RouteId DynamicCsdNetwork::route_over(ChannelId channel,
+                                      Position segment) const {
+  for (const Route& r : routes_) {
+    if (r.id != kNoRoute && r.channel == channel && r.lo() <= segment &&
+        segment < r.hi()) {
+      return r.id;
+    }
+  }
+  return kNoRoute;
+}
+
 bool DynamicCsdNetwork::segment_dead(ChannelId channel,
                                      Position segment) const {
   VLSIP_REQUIRE(channel < config_.channels, "channel out of range");
   VLSIP_REQUIRE(segment < config_.positions - 1, "segment out of range");
-  return dead_[segment_index(channel, segment)];
+  return test_bit(dead_, segment_index(channel, segment));
 }
 
 std::size_t DynamicCsdNetwork::dead_segments() const {
-  return static_cast<std::size_t>(
-      std::count(dead_.begin(), dead_.end(), true));
+  return simd::popcount_words(dead_.data(), dead_.size());
 }
 
 ChannelId DynamicCsdNetwork::used_channels() const {
@@ -328,10 +348,8 @@ std::size_t DynamicCsdNetwork::claimed_segments() const {
 }
 
 double DynamicCsdNetwork::utilisation() const {
-  return occupancy_.empty()
-             ? 0.0
-             : static_cast<double>(claimed_segments()) /
-                   static_cast<double>(occupancy_.size());
+  return static_cast<double>(claimed_segments()) /
+         static_cast<double>(segment_count());
 }
 
 std::size_t DynamicCsdNetwork::active_routes() const { return active_routes_; }
@@ -372,8 +390,8 @@ std::string DynamicCsdNetwork::render() const {
     out << "ch" << c << ": ";
     for (Position s = 0; s < segs; ++s) {
       const std::size_t idx = segment_index(c, s);
-      out << (dead_[idx] ? 'X'
-                         : (occupancy_[idx] == kNoRoute ? '.' : '#'));
+      out << (test_bit(dead_, idx) ? 'X'
+                                   : (test_bit(blocked_, idx) ? '#' : '.'));
     }
     out << "\n";
   }
@@ -393,8 +411,8 @@ void DynamicCsdNetwork::save(snapshot::Writer& w) const {
   }
   w.vec_u32(free_slots_);
   w.u64(active_routes_);
-  std::vector<std::uint8_t> dead(dead_.size());
-  for (std::size_t i = 0; i < dead_.size(); ++i) dead[i] = dead_[i] ? 1 : 0;
+  std::vector<std::uint8_t> dead(segment_count());
+  for (std::size_t i = 0; i < dead.size(); ++i) dead[i] = test_bit(dead_, i);
   w.vec_u8(dead);
   w.u64(now_);
   w.u64(requests_);
@@ -427,21 +445,45 @@ void DynamicCsdNetwork::restore(snapshot::Reader& r) {
   free_slots_ = r.vec_u32();
   active_routes_ = static_cast<std::size_t>(r.u64());
   const std::vector<std::uint8_t> dead = r.vec_u8();
-  VLSIP_REQUIRE(dead.size() == dead_.size(),
+  VLSIP_REQUIRE(dead.size() == segment_count(),
                 "snapshot CSD segment map mismatch");
   // Rebuild all derived claim state: clear, re-mark dead segments, then
-  // re-claim every live route's span exactly as establish() did.
-  std::fill(occupancy_.begin(), occupancy_.end(), kNoRoute);
-  std::fill(blocked_.begin(), blocked_.end(), 0ull);
+  // re-claim every live route's span exactly as establish() did. A span
+  // that is not free when claimed overlaps another route or a dead
+  // segment: no sequence of establishes leads there.
+  std::fill(dead_.begin(), dead_.end(), 0ull);
+  for (std::size_t i = 0; i < dead.size(); ++i) {
+    if (dead[i] != 0) set_bit(dead_, i);
+  }
+  blocked_ = dead_;
   std::fill(claimed_per_channel_.begin(), claimed_per_channel_.end(), 0u);
   claimed_total_ = 0;
-  for (std::size_t i = 0; i < dead.size(); ++i) {
-    dead_[i] = dead[i] != 0;
-    if (dead_[i]) block_bit(i);
-  }
-  for (const auto& route : routes_) {
+  std::size_t live = 0;
+  for (RouteId id = 0; id < routes_.size(); ++id) {
+    const Route& route = routes_[id];
     if (route.id == kNoRoute) continue;
-    claim(route.channel, route.lo(), route.hi(), route.id);
+    if (route.id != id || route.channel >= channels ||
+        route.source >= positions || route.sink >= positions ||
+        route.source == route.sink) {
+      throw snapshot::SnapshotError("snapshot CSD route is malformed");
+    }
+    if (!span_free(route.channel, route.lo(), route.hi())) {
+      throw snapshot::SnapshotError(
+          "snapshot CSD route overlaps a claimed or dead segment");
+    }
+    claim(route.channel, route.lo(), route.hi());
+    ++live;
+  }
+  std::vector<bool> freed(routes_.size(), false);
+  for (const RouteId slot : free_slots_) {
+    if (slot >= routes_.size() || routes_[slot].id != kNoRoute ||
+        freed[slot]) {
+      throw snapshot::SnapshotError("snapshot CSD free list is malformed");
+    }
+    freed[slot] = true;
+  }
+  if (live != active_routes_) {
+    throw snapshot::SnapshotError("snapshot CSD route count mismatch");
   }
   now_ = r.u64();
   requests_ = r.u64();

@@ -62,6 +62,15 @@ struct CsdConfig {
   ChannelId channels = 16;
 };
 
+/// The routes of one fan-out, both on the granted channel: `first` runs
+/// to the highest sink position if one lies above the source, else to
+/// the lowest; `second` runs to the lowest sink when the sinks lie on
+/// both sides of the source, else it is kNoRoute.
+struct FanoutRoutes {
+  RouteId first = kNoRoute;
+  RouteId second = kNoRoute;
+};
+
 /// Outcome of killing one channel hop segment: the routes torn off the
 /// dead segment, how many found a healthy span on another channel, and
 /// how many were dropped (their communication must re-handshake after
@@ -101,9 +110,12 @@ class DynamicCsdNetwork {
 
   /// Fan-out (broadcast) claim: one channel spanning [lo(source,last
   /// sink) .. hi], reaching every sink in `sinks` (§2.6.2: remaining
-  /// channels can be allocated to the fan-out).
-  std::optional<RouteId> establish_fanout(Position source,
-                                          const std::vector<Position>& sinks);
+  /// channels can be allocated to the fan-out). One request, one grant;
+  /// the claim is recorded as one route per side of the source, each
+  /// ending at that side's farthest sink, so every recorded span equals
+  /// its claim.
+  std::optional<FanoutRoutes> establish_fanout(
+      Position source, const std::vector<Position>& sinks);
 
   /// Stack shift by one position toward the bottom (top-of-stack insert):
   /// every route endpoint moves +1; routes pushed past the bottom edge
@@ -181,33 +193,38 @@ class DynamicCsdNetwork {
   std::string render() const;
 
   /// Checkpoint codec. Serializes routes, free slots, dead segments and
-  /// counters; occupancy/blocked bitmaps and per-channel claim counts
-  /// are *rebuilt* on restore by re-claiming every live route's span —
-  /// derived state never hits the snapshot.
+  /// counters; the blocked bitmap and per-channel claim counts are
+  /// *rebuilt* on restore by re-claiming every live route's span —
+  /// derived state never hits the snapshot. A route table that could
+  /// not have been reached (an endpoint off the array, a live route
+  /// overlapping another or a dead segment, a bad free list) throws
+  /// snapshot::SnapshotError.
   void save(snapshot::Writer& w) const;
   void restore(snapshot::Reader& r);
 
  private:
+  std::size_t segment_count() const {
+    return static_cast<std::size_t>(config_.channels) *
+           (config_.positions - 1);
+  }
   std::size_t segment_index(ChannelId c, Position seg) const;
-  void claim(ChannelId c, Position lo, Position hi, RouteId id);
+  /// Fills a free slot with source -> sink on `channel` and claims it.
+  RouteId add_route(Position source, Position sink, ChannelId channel);
+  void claim(ChannelId c, Position lo, Position hi);
   void unclaim(ChannelId c, Position lo, Position hi);
-  void block_bit(std::size_t idx) {
-    blocked_[idx >> 6] |= 1ull << (idx & 63);
-  }
-  void unblock_bit(std::size_t idx) {
-    blocked_[idx >> 6] &= ~(1ull << (idx & 63));
-  }
+  /// The live route claiming hop `segment` of `channel`, or kNoRoute.
+  RouteId route_over(ChannelId channel, Position segment) const;
 
   CsdConfig config_;
-  /// occupancy_[c * (positions-1) + s] = route occupying hop segment s of
-  /// channel c, or kNoRoute.
-  std::vector<RouteId> occupancy_;
-  /// dead_[same index] = the segment is defective and unroutable.
-  std::vector<bool> dead_;
-  /// Bitwords over the same index space: bit set = claimed or dead. The
-  /// priority encoder's span scan tests 64 segments per word instead of
-  /// one RouteId per probe.
+  /// Bitwords over the segment index c * (positions-1) + s: bit set =
+  /// hop segment s of channel c is claimed or dead. The priority
+  /// encoder's span scan tests 64 segments per word, and claim/unclaim
+  /// are masked word operations.
   std::vector<std::uint64_t> blocked_;
+  /// Same index space: bit set = the segment is defective and
+  /// unroutable. Claims never cover a dead segment, so unclaim restores
+  /// a span's blocked bits from these.
+  std::vector<std::uint64_t> dead_;
   /// Claimed-segment count per channel; makes used_channels() O(channels)
   /// and claimed_segments() O(1) instead of scans over all segments.
   std::vector<std::uint32_t> claimed_per_channel_;

@@ -2,6 +2,8 @@
 // pipeline, dataflow executor and the AP facade (paper §2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "ap/adaptive_processor.hpp"
 #include "ap/executor.hpp"
 #include "ap/memory_block.hpp"
@@ -10,6 +12,8 @@
 #include "ap/wsrf.hpp"
 #include "arch/datapath.hpp"
 #include "common/require.hpp"
+#include "common/rng.hpp"
+#include "snapshot/snapshot.hpp"
 
 namespace vlsip::ap {
 namespace {
@@ -39,6 +43,56 @@ TEST(MemoryBlock, FillBulk) {
   EXPECT_EQ(m.read(3).u, 2u);
   EXPECT_THROW(m.fill(7, {arch::make_word_u(0), arch::make_word_u(0)}),
                vlsip::PreconditionError);
+}
+
+std::vector<std::uint8_t> saved_bytes(const MemoryBlock& m) {
+  snapshot::Snapshot snap;
+  snapshot::Writer w(snap);
+  m.save(w);
+  return snap.bytes();
+}
+
+TEST(MemoryBlock, UnwrittenBlockReadsZeroAndSavesLikeAZeroedOne) {
+  // Storage is allocated on the first nonzero write; a block without it
+  // must be indistinguishable from one explicitly filled with zeros.
+  const MemoryBlockConfig config{64, 1};
+  MemoryBlock lazy(config);
+  MemoryBlock zeroed(config);
+  zeroed.fill(0, std::vector<arch::Word>(64, arch::make_word_u(0)));
+  zeroed.write(7, arch::make_word_u(0));
+  for (std::size_t a = 0; a < 64; ++a) EXPECT_EQ(lazy.read(a).u, 0u);
+  EXPECT_EQ(saved_bytes(lazy), saved_bytes(zeroed));
+
+  // After a nonzero word is written and overwritten with 0 the bytes
+  // still match: only nonzero words are ever saved.
+  zeroed.write(9, arch::make_word_u(5));
+  EXPECT_EQ(zeroed.read(9).u, 5u);
+  EXPECT_NE(saved_bytes(lazy), saved_bytes(zeroed));
+  zeroed.write(9, arch::make_word_u(0));
+  EXPECT_EQ(saved_bytes(lazy), saved_bytes(zeroed));
+
+  // A restore with no nonzero word leaves the block reading 0.
+  MemoryBlock written(config);
+  written.write(3, arch::make_word_u(11));
+  snapshot::Snapshot snap;
+  {
+    snapshot::Writer w(snap);
+    lazy.save(w);
+  }
+  snapshot::Reader r(snap);
+  written.restore(r);
+  EXPECT_EQ(written.read(3).u, 0u);
+  EXPECT_EQ(saved_bytes(written), saved_bytes(lazy));
+}
+
+TEST(MemoryBlock, PoisonBeforeFirstWrite) {
+  MemoryBlock m(MemoryBlockConfig{16, 1});
+  m.poison();
+  EXPECT_EQ(m.read(4).u, MemoryBlock::poison_word().u);
+  m.write(4, arch::make_word_u(1));  // dropped
+  MemoryBlock fresh(MemoryBlockConfig{16, 1});
+  fresh.poison();
+  EXPECT_EQ(saved_bytes(m), saved_bytes(fresh));
 }
 
 TEST(ObjectLibrary, StoreFetch) {
@@ -129,6 +183,100 @@ TEST(ObjectSpace, StackDistanceEqualsPosition) {
   // Most recent first: 5, 3, 7, 6, 4, 2, 1, 0.
   EXPECT_EQ(s.stack(),
             (std::vector<arch::ObjectId>{5, 3, 7, 6, 4, 2, 1, 0}));
+}
+
+TEST(ObjectSpace, MatchesNaiveStackModel) {
+  // The flat id index against a plain vector (top first) over random
+  // stack operations, ids drawn sparse so the index keeps growing.
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Xoshiro256 rng(seed);
+    int capacity = 2 + static_cast<int>(rng.uniform(14));
+    ObjectSpace s(capacity);
+    std::vector<arch::ObjectId> model;
+    const auto depth = [&](arch::ObjectId id) {
+      return static_cast<int>(std::find(model.begin(), model.end(), id) -
+                              model.begin());
+    };
+    for (int step = 0; step < 400; ++step) {
+      const auto action = rng.uniform(20);
+      const auto id = static_cast<arch::ObjectId>(rng.uniform(48));
+      const bool resident = depth(id) < static_cast<int>(model.size());
+      if (action < 8) {
+        if (!resident && static_cast<int>(model.size()) < capacity) {
+          s.insert_top(id);
+          model.insert(model.begin(), id);
+        }
+      } else if (action < 14) {
+        if (resident) {
+          EXPECT_EQ(s.promote(id), depth(id));
+          model.erase(model.begin() + depth(id));
+          model.insert(model.begin(), id);
+        }
+      } else if (action < 17) {
+        if (!model.empty()) {
+          EXPECT_EQ(s.evict_bottom(), model.back());
+          model.pop_back();
+        }
+      } else if (action < 19) {
+        if (resident) {
+          s.remove(id);
+          model.erase(model.begin() + depth(id));
+        }
+      } else if (capacity > 1) {
+        const bool was_full = static_cast<int>(model.size()) == capacity;
+        const auto evicted = s.reduce_capacity();
+        --capacity;
+        EXPECT_EQ(evicted.has_value(), was_full);
+        if (was_full) {
+          EXPECT_EQ(*evicted, model.back());
+          model.pop_back();
+        }
+      }
+      ASSERT_EQ(s.stack(), model) << "seed " << seed << " step " << step;
+      ASSERT_EQ(s.capacity(), capacity);
+      for (int i = 0; i < s.size(); ++i) ASSERT_EQ(s.at(i), model[i]);
+      for (arch::ObjectId probe = 0; probe < 64; ++probe) {
+        const int d = depth(probe);
+        ASSERT_EQ(s.find(probe).value_or(-1),
+                  d < static_cast<int>(model.size()) ? d : -1);
+      }
+      ASSERT_FALSE(s.contains(arch::kNoObject));
+    }
+  }
+}
+
+snapshot::Snapshot object_space_section(int capacity,
+                                        std::vector<arch::ObjectId> stack) {
+  snapshot::Snapshot snap;
+  snapshot::Writer w(snap);
+  w.section("ap.object_space");
+  w.i32(capacity);
+  w.vec_u32(stack);
+  w.u64(0);
+  return snap;
+}
+
+TEST(ObjectSpace, RestoreRejectsInconsistentStacks) {
+  ObjectSpace s(4);
+  s.insert_top(2);
+  const auto restore = [&](const snapshot::Snapshot& snap) {
+    snapshot::Reader r(snap);
+    s.restore(r);
+  };
+  EXPECT_THROW(restore(object_space_section(4, {1, 2, 1})),
+               snapshot::SnapshotError);
+  EXPECT_THROW(restore(object_space_section(4, {1, arch::kObjectIdLimit})),
+               snapshot::SnapshotError);
+  EXPECT_THROW(restore(object_space_section(2, {1, 2, 3})),
+               snapshot::SnapshotError);
+  EXPECT_THROW(restore(object_space_section(0, {})), snapshot::SnapshotError);
+  // The rejected restores left the stack alone; a consistent one lands.
+  EXPECT_EQ(s.stack(), std::vector<arch::ObjectId>{2});
+  restore(object_space_section(3, {7, 0}));
+  EXPECT_EQ(s.find(7).value_or(-1), 0);
+  EXPECT_EQ(s.find(0).value_or(-1), 1);
+  EXPECT_FALSE(s.contains(2));
+  EXPECT_THROW(s.insert_top(arch::kObjectIdLimit), vlsip::PreconditionError);
 }
 
 // ---- WSRF ------------------------------------------------------------------------

@@ -7,6 +7,7 @@
 #include "csd/csd_simulator.hpp"
 #include "csd/dynamic_csd.hpp"
 #include "csd/global_network.hpp"
+#include "snapshot/snapshot.hpp"
 
 namespace vlsip::csd {
 namespace {
@@ -109,6 +110,118 @@ TEST(DynamicCsd, FanoutSpansAllSinks) {
   // Claim covers [2, 9): conflicting route must fail on that channel.
   EXPECT_EQ(net.try_route(3, 5).value(), 1u);
   EXPECT_EQ(net.claimed_segments(), 7u);
+}
+
+TEST(DynamicCsd, TwoSidedFanoutReleasesItsWholeClaim) {
+  // Sinks on both sides of the source: one request, one grant, and one
+  // route per side whose recorded span equals its claim, so releasing
+  // both (before or after a checkpoint round trip) frees every segment.
+  DynamicCsdNetwork net(cfg(16, 2));
+  const auto r = net.establish_fanout(4, {2, 9, 6});
+  ASSERT_TRUE(r);
+  ASSERT_NE(r->second, kNoRoute);
+  EXPECT_EQ(net.route_requests(), 1u);
+  EXPECT_EQ(net.route_grants(), 1u);
+  EXPECT_EQ(net.active_routes(), 2u);
+  const Route& far = net.routes()[r->first];
+  const Route& near = net.routes()[r->second];
+  EXPECT_EQ(far.source, 4u);
+  EXPECT_EQ(far.sink, 9u);
+  EXPECT_EQ(near.source, 4u);
+  EXPECT_EQ(near.sink, 2u);
+  EXPECT_EQ(far.channel, near.channel);
+
+  snapshot::Snapshot snap;
+  {
+    snapshot::Writer w(snap);
+    net.save(w);
+  }
+  DynamicCsdNetwork twin(cfg(16, 2));
+  snapshot::Reader reader(snap);
+  twin.restore(reader);
+  EXPECT_EQ(twin.render(), net.render());
+  EXPECT_EQ(twin.claimed_segments(), 7u);
+
+  for (DynamicCsdNetwork* n : {&net, &twin}) {
+    n->release(r->first);
+    n->release(r->second);
+    EXPECT_EQ(n->claimed_segments(), 0u);
+    EXPECT_EQ(n->active_routes(), 0u);
+    EXPECT_EQ(n->used_channels(), 0u);
+    EXPECT_EQ(n->try_route(2, 4).value(), 0u);  // channel 0 is whole again
+  }
+}
+
+TEST(DynamicCsd, OneSidedFanoutIsOneRoute) {
+  DynamicCsdNetwork net(cfg(16, 2));
+  const auto r = net.establish_fanout(8, {3, 5});
+  ASSERT_TRUE(r);
+  EXPECT_EQ(r->second, kNoRoute);
+  EXPECT_EQ(net.routes()[r->first].sink, 3u);
+  EXPECT_EQ(net.claimed_segments(), 5u);
+  net.release(r->first);
+  EXPECT_EQ(net.claimed_segments(), 0u);
+  EXPECT_THROW(net.establish_fanout(16, {3}), vlsip::PreconditionError);
+}
+
+// ---- Checkpoint restore validation ---------------------------------------------
+
+/// A hand-written csd.network section over a 16-position, 2-channel
+/// network with zeroed counters.
+snapshot::Snapshot csd_section(const std::vector<Route>& routes,
+                               const std::vector<RouteId>& free_slots,
+                               const std::vector<std::size_t>& dead) {
+  snapshot::Snapshot snap;
+  snapshot::Writer w(snap);
+  w.section("csd.network");
+  w.u32(16);
+  w.u32(2);
+  w.u64(routes.size());
+  std::uint64_t live = 0;
+  for (const Route& r : routes) {
+    w.u32(r.id);
+    w.u32(r.source);
+    w.u32(r.sink);
+    w.u32(r.channel);
+    if (r.id != kNoRoute) ++live;
+  }
+  w.vec_u32(free_slots);
+  w.u64(live);
+  std::vector<std::uint8_t> map(2 * 15, 0);
+  for (const std::size_t i : dead) map[i] = 1;
+  w.vec_u8(map);
+  for (int i = 0; i < 8; ++i) w.u64(0);
+  return snap;
+}
+
+bool restores(const snapshot::Snapshot& snap) {
+  DynamicCsdNetwork net(cfg(16, 2));
+  snapshot::Reader r(snap);
+  try {
+    net.restore(r);
+  } catch (const snapshot::SnapshotError&) {
+    return false;
+  }
+  return true;
+}
+
+TEST(DynamicCsd, RestoreRejectsInconsistentRouteTables) {
+  const Route a{0, 2, 6, 0};
+  const Route freed{kNoRoute, 0, 0, 0};
+  EXPECT_TRUE(restores(csd_section({a, Route{1, 6, 9, 0}}, {}, {})));
+  EXPECT_TRUE(restores(csd_section({a, freed}, {1}, {20})));
+  // Two live routes overlap on channel 0.
+  EXPECT_FALSE(restores(csd_section({a, Route{1, 5, 9, 0}}, {}, {})));
+  // A live route covers dead segment 3 of channel 0.
+  EXPECT_FALSE(restores(csd_section({a}, {}, {3})));
+  // Endpoints off the array, a bad channel, an id that is not its slot.
+  EXPECT_FALSE(restores(csd_section({Route{0, 2, 16, 0}}, {}, {})));
+  EXPECT_FALSE(restores(csd_section({Route{0, 2, 6, 2}}, {}, {})));
+  EXPECT_FALSE(restores(csd_section({Route{1, 2, 6, 0}}, {}, {})));
+  // Free lists naming a live slot, a missing slot or one slot twice.
+  EXPECT_FALSE(restores(csd_section({a, freed}, {0}, {})));
+  EXPECT_FALSE(restores(csd_section({a, freed}, {2}, {})));
+  EXPECT_FALSE(restores(csd_section({a, freed}, {1, 1}, {})));
 }
 
 TEST(DynamicCsd, FanoutValidation) {

@@ -3,6 +3,11 @@
 // arithmetic.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstring>
+#include <limits>
+#include <ostream>
+
 #include "ap/adaptive_processor.hpp"
 #include "arch/datapath.hpp"
 
@@ -42,12 +47,28 @@ Word run_unary(Opcode op, Word a) {
   return ap.output("r")[0];
 }
 
+/// gtest names each case after the bytes of its parameter. The bytes
+/// between the one-byte `op` and the first operand are padding whose
+/// contents are unspecified, so print a copy with them zeroed: the case
+/// names then stay the same from one build and run to the next.
+template <typename Case>
+void print_case_bytes(const Case& c, std::ostream* os) {
+  unsigned char bytes[sizeof(Case)] = {};
+  std::memcpy(bytes + offsetof(Case, op), &c.op, sizeof c.op);
+  std::memcpy(bytes + offsetof(Case, a), &c.a, sizeof c.a);
+  std::memcpy(bytes + offsetof(Case, b), &c.b, sizeof c.b);
+  std::memcpy(bytes + offsetof(Case, expect), &c.expect, sizeof c.expect);
+  ::testing::internal::PrintBytesInObjectTo(bytes, sizeof bytes, os);
+}
+
 struct IntCase {
   Opcode op;
   std::int64_t a;
   std::int64_t b;
   std::int64_t expect;
 };
+
+void PrintTo(const IntCase& c, std::ostream* os) { print_case_bytes(c, os); }
 
 class IntBinaryOps : public ::testing::TestWithParam<IntCase> {};
 
@@ -79,12 +100,33 @@ INSTANTIATE_TEST_SUITE_P(
         IntCase{Opcode::kCmpEq, 5, 5, 1},
         IntCase{Opcode::kCmpEq, 5, 6, 0}));
 
+constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+
+// Two's-complement wrap at the edges: the one overflowing quotient,
+// INT64_MIN / -1, is INT64_MIN with remainder 0 (the host would trap).
+INSTANTIATE_TEST_SUITE_P(
+    Overflow, IntBinaryOps,
+    ::testing::Values(IntCase{Opcode::kIDiv, kMin, -1, kMin},
+                      IntCase{Opcode::kIRem, kMin, -1, 0},
+                      IntCase{Opcode::kIDiv, kMin, 1, kMin},
+                      IntCase{Opcode::kIDiv, kMin, 0, 0},
+                      IntCase{Opcode::kIRem, kMin, 0, 0},
+                      IntCase{Opcode::kIDiv, kMax, -1, -kMax},
+                      IntCase{Opcode::kIRem, -17, -1, 0},
+                      IntCase{Opcode::kIRem, -17, 5, -2},
+                      IntCase{Opcode::kIMul, kMin, -1, kMin},
+                      IntCase{Opcode::kIAdd, kMax, 1, kMin},
+                      IntCase{Opcode::kISub, kMin, 1, kMax}));
+
 struct BitCase {
   Opcode op;
   std::uint64_t a;
   std::uint64_t b;
   std::uint64_t expect;
 };
+
+void PrintTo(const BitCase& c, std::ostream* os) { print_case_bytes(c, os); }
 
 class BitOps : public ::testing::TestWithParam<BitCase> {};
 
@@ -115,6 +157,8 @@ struct FloatCase {
   double expect;
 };
 
+void PrintTo(const FloatCase& c, std::ostream* os) { print_case_bytes(c, os); }
+
 class FloatBinaryOps : public ::testing::TestWithParam<FloatCase> {};
 
 TEST_P(FloatBinaryOps, Computes) {
@@ -142,6 +186,11 @@ TEST(UnaryOps, Negations) {
                    -2.5);
   EXPECT_EQ(run_unary(Opcode::kBuff, arch::make_word_u(0xDEAD)).u,
             0xDEADu);
+}
+
+TEST(UnaryOps, IntegerNegationWrapsAtMin) {
+  EXPECT_EQ(run_unary(Opcode::kINeg, arch::make_word_i(kMin)).i, kMin);
+  EXPECT_EQ(run_unary(Opcode::kINeg, arch::make_word_i(kMax)).i, -kMax);
 }
 
 TEST(SelectOp, PicksByCondition) {

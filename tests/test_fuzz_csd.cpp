@@ -1,13 +1,20 @@
 // Randomized stress of the dynamic CSD network against a shadow model:
 // establish/release/shift sequences must keep the claim matrix exactly
-// consistent with the set of active routes.
+// consistent with the set of active routes. A second sweep checks the
+// word-level claim bitsets against a per-segment map rebuilt from
+// routes() after every operation, fan-outs, segment kills and
+// checkpoint round trips included.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "csd/dynamic_csd.hpp"
+#include "snapshot/snapshot.hpp"
 
 namespace vlsip::csd {
 namespace {
@@ -106,6 +113,138 @@ TEST_P(CsdFuzz, ClaimsAlwaysMatchActiveRoutes) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, CsdFuzz,
                          ::testing::Range<std::uint64_t>(1, 13));
+
+std::vector<std::uint8_t> saved_bytes(const DynamicCsdNetwork& net) {
+  snapshot::Snapshot snap;
+  snapshot::Writer w(snap);
+  net.save(w);
+  return snap.bytes();
+}
+
+class CsdBitsetFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CsdBitsetFuzz, BitsetsMatchPerSegmentReference) {
+  const auto seed = GetParam();
+  Xoshiro256 rng(seed);
+  const Position positions = static_cast<Position>(8 + rng.uniform(90));
+  const ChannelId channels = static_cast<ChannelId>(1 + rng.uniform(6));
+  const Position segs = positions - 1;
+  std::optional<DynamicCsdNetwork> net;
+  net.emplace(CsdConfig{positions, channels});
+  std::set<std::size_t> dead;  // segment indices killed so far
+
+  // owner[c * segs + s]: the live route on hop s of channel c, painted
+  // from routes(); fails if two routes or a route and a dead segment
+  // share a hop.
+  std::vector<RouteId> owner;
+  const auto rebuild = [&] {
+    owner.assign(static_cast<std::size_t>(channels) * segs, kNoRoute);
+    for (const Route& r : net->routes()) {
+      if (r.id == kNoRoute) continue;
+      for (Position s = r.lo(); s < r.hi(); ++s) {
+        const std::size_t idx = std::size_t{r.channel} * segs + s;
+        ASSERT_EQ(owner[idx], kNoRoute) << "routes overlap at " << idx;
+        ASSERT_EQ(dead.count(idx), 0u) << "route over dead segment " << idx;
+        owner[idx] = r.id;
+      }
+    }
+  };
+  const auto check = [&] {
+    rebuild();
+    std::size_t live = 0;
+    for (const Route& r : net->routes()) live += r.id != kNoRoute;
+    ASSERT_EQ(net->active_routes(), live);
+    std::size_t claimed = 0;
+    ChannelId used = 0;
+    std::string render;
+    for (ChannelId c = 0; c < channels; ++c) {
+      bool any = false;
+      render += "ch" + std::to_string(c) + ": ";
+      for (Position s = 0; s < segs; ++s) {
+        const std::size_t idx = std::size_t{c} * segs + s;
+        const bool is_dead = dead.count(idx) != 0;
+        ASSERT_EQ(net->segment_dead(c, s), is_dead);
+        if (owner[idx] != kNoRoute) {
+          ++claimed;
+          any = true;
+        }
+        render += is_dead ? 'X' : (owner[idx] == kNoRoute ? '.' : '#');
+      }
+      render += "\n";
+      used += any;
+    }
+    ASSERT_EQ(net->claimed_segments(), claimed);
+    ASSERT_EQ(net->used_channels(), used);
+    ASSERT_EQ(net->dead_segments(), dead.size());
+    ASSERT_EQ(net->render(), render);
+    for (int probe = 0; probe < 24; ++probe) {
+      const auto c = static_cast<ChannelId>(rng.uniform(channels));
+      const auto lo = static_cast<Position>(rng.uniform(segs));
+      const auto hi = static_cast<Position>(lo + 1 + rng.uniform(segs - lo));
+      bool expect_free = true;
+      for (Position s = lo; s < hi; ++s) {
+        const std::size_t idx = std::size_t{c} * segs + s;
+        if (owner[idx] != kNoRoute || dead.count(idx) != 0) {
+          expect_free = false;
+        }
+      }
+      ASSERT_EQ(net->span_free(c, lo, hi), expect_free)
+          << "probe ch" << c << " [" << lo << "," << hi << ")";
+    }
+  };
+
+  for (int step = 0; step < 300; ++step) {
+    const auto action = rng.uniform(20);
+    if (action < 8) {
+      auto a = static_cast<Position>(rng.uniform(positions));
+      auto b = static_cast<Position>(rng.uniform(positions));
+      if (a == b) b = (b + 1) % positions;
+      net->establish(a, b);
+    } else if (action < 10) {
+      const auto source = static_cast<Position>(rng.uniform(positions));
+      std::vector<Position> sinks(1 + rng.uniform(3));
+      for (auto& sink : sinks) {
+        sink = static_cast<Position>(rng.uniform(positions));
+      }
+      sinks.push_back(source == 0 ? 1 : source - 1);  // spans >= 1 hop
+      net->establish_fanout(source, sinks);
+    } else if (action < 15) {
+      std::vector<RouteId> live;
+      for (const Route& r : net->routes()) {
+        if (r.id != kNoRoute) live.push_back(r.id);
+      }
+      if (!live.empty()) net->release(live[rng.uniform(live.size())]);
+    } else if (action < 17) {
+      const auto c = static_cast<ChannelId>(rng.uniform(channels));
+      const auto s = static_cast<Position>(rng.uniform(segs));
+      const std::size_t idx = std::size_t{c} * segs + s;
+      rebuild();
+      const bool was_dead = dead.count(idx) != 0;
+      const bool had_route = owner[idx] != kNoRoute;
+      const auto kill = net->kill_segment(c, s);
+      EXPECT_EQ(kill.affected, was_dead ? 0u : (had_route ? 1u : 0u));
+      EXPECT_EQ(kill.rerouted + kill.dropped, kill.affected);
+      dead.insert(idx);
+    } else if (action < 19) {
+      net->shift_down_one();
+    } else {
+      const auto before = saved_bytes(*net);
+      snapshot::Snapshot snap;
+      snap.bytes() = before;
+      net.emplace(CsdConfig{positions, channels});
+      snapshot::Reader r(snap);
+      net->restore(r);
+      ASSERT_EQ(saved_bytes(*net), before);
+    }
+    check();
+    if (HasFatalFailure()) {
+      FAIL() << "seed " << seed << " step " << step;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, CsdBitsetFuzz,
+                         ::testing::Range<std::uint64_t>(1, 17));
 
 }  // namespace
 }  // namespace vlsip::csd

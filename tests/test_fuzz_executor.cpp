@@ -3,6 +3,7 @@
 // Any divergence in any output on any wave is a simulator bug.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "ap/adaptive_processor.hpp"
@@ -24,15 +25,19 @@ const Opcode kFuzzOps[] = {
 };
 
 /// Host-side reference semantics (must match executor.cpp's compute()).
+/// Two's-complement wrap is computed in unsigned, so the reference itself
+/// has no signed-overflow UB; x / -1 is the wrapped negation.
 std::int64_t reference(Opcode op, std::int64_t a, std::int64_t b) {
   const auto ua = static_cast<std::uint64_t>(a);
   const auto ub = static_cast<std::uint64_t>(b);
   switch (op) {
-    case Opcode::kIAdd: return a + b;
-    case Opcode::kISub: return a - b;
-    case Opcode::kIMul: return a * b;
-    case Opcode::kIDiv: return b == 0 ? 0 : a / b;
-    case Opcode::kIRem: return b == 0 ? 0 : a % b;
+    case Opcode::kIAdd: return static_cast<std::int64_t>(ua + ub);
+    case Opcode::kISub: return static_cast<std::int64_t>(ua - ub);
+    case Opcode::kIMul: return static_cast<std::int64_t>(ua * ub);
+    case Opcode::kIDiv:
+      if (b == 0) return 0;
+      return b == -1 ? static_cast<std::int64_t>(0 - ua) : a / b;
+    case Opcode::kIRem: return (b == 0 || b == -1) ? 0 : a % b;
     case Opcode::kIShl: return static_cast<std::int64_t>(ua << (ub & 63));
     case Opcode::kIShr: return static_cast<std::int64_t>(ua >> (ub & 63));
     case Opcode::kIAnd: return static_cast<std::int64_t>(ua & ub);
@@ -43,6 +48,16 @@ std::int64_t reference(Opcode op, std::int64_t a, std::int64_t b) {
     case Opcode::kCmpEq: return a == b ? 1 : 0;
     default: ADD_FAILURE() << "op outside fuzz set"; return 0;
   }
+}
+
+/// An operand value: half the time small, else a two's-complement edge.
+/// INT64_MIN / -1 traps a host divide; sweep seeds 8 and 32 reach it.
+std::int64_t draw_value(Xoshiro256& rng, std::int64_t magnitude) {
+  constexpr std::int64_t kEdges[] = {
+      std::numeric_limits<std::int64_t>::min(), -1, 0,
+      std::numeric_limits<std::int64_t>::max()};
+  if (rng.uniform(2) == 0) return kEdges[rng.uniform(std::size(kEdges))];
+  return rng.uniform_range(-magnitude, magnitude);
 }
 
 struct FuzzDag {
@@ -78,7 +93,7 @@ FuzzDag make_dag(std::uint64_t seed) {
   }
   const std::size_t n_consts = 1 + rng.uniform(3);
   for (std::size_t i = 0; i < n_consts; ++i) {
-    const auto v = rng.uniform_range(-7, 7);
+    const auto v = draw_value(rng, 7);
     ids.push_back(b.constant_i(v));
     FuzzDag::Node n;
     n.is_const = true;
@@ -147,7 +162,7 @@ TEST_P(ExecutorFuzz, MatchesReferenceOverWaves) {
   std::vector<std::vector<std::int64_t>> wave_inputs(waves);
   for (auto& wave : wave_inputs) {
     for (std::size_t i = 0; i < dag.n_inputs; ++i) {
-      wave.push_back(rng.uniform_range(-100, 100));
+      wave.push_back(draw_value(rng, 100));
     }
   }
   for (const auto& wave : wave_inputs) {
@@ -185,7 +200,7 @@ TEST(ExecutorFuzz, TinyCapacityStillMatches) {
     std::vector<std::int64_t> wave;
     Xoshiro256 rng(seed * 99);
     for (std::size_t i = 0; i < dag.n_inputs; ++i) {
-      const auto v = rng.uniform_range(-50, 50);
+      const auto v = draw_value(rng, 50);
       wave.push_back(v);
       ap.feed("in" + std::to_string(i), arch::make_word_i(v));
     }

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "core/builder.hpp"
 #include "core/status.hpp"
 #include "core/vlsi_processor.hpp"
+#include "csd/dynamic_csd.hpp"
 #include "fault/fault_plan.hpp"
 #include "runtime/chip_farm.hpp"
 #include "runtime/farm_config_builder.hpp"
@@ -265,6 +267,107 @@ TEST(ChipCheckpoint, CorruptBufferSurfacesAsStatus) {
   const Status restored = chip.restore(checkpoint);
   ASSERT_FALSE(restored.ok());
   EXPECT_EQ(restored.code(), StatusCode::kCorruptSnapshot);
+}
+
+/// Offsets just past every `tag` section marker in `snap`, in order.
+std::vector<std::size_t> section_payloads(const snapshot::Snapshot& snap,
+                                          const std::string& tag) {
+  std::vector<std::uint8_t> marker(8);
+  const std::uint64_t n = tag.size();
+  std::memcpy(marker.data(), &n, sizeof n);
+  marker.insert(marker.end(), tag.begin(), tag.end());
+  std::vector<std::size_t> out;
+  const auto& bytes = snap.bytes();
+  auto it = bytes.begin();
+  while ((it = std::search(it, bytes.end(), marker.begin(), marker.end())) !=
+         bytes.end()) {
+    it += static_cast<std::ptrdiff_t>(marker.size());
+    out.push_back(static_cast<std::size_t>(it - bytes.begin()));
+  }
+  return out;
+}
+
+template <typename T>
+T load(const snapshot::Snapshot& snap, std::size_t at) {
+  T v;
+  std::memcpy(&v, snap.bytes().data() + at, sizeof v);
+  return v;
+}
+
+template <typename T>
+void store(snapshot::Snapshot& snap, std::size_t at, T v) {
+  std::memcpy(snap.bytes().data() + at, &v, sizeof v);
+}
+
+/// A chip that has run a job, so its stacks and routes are populated.
+snapshot::Snapshot busy_chip_checkpoint() {
+  core::VlsiProcessor chip(small_chip());
+  const auto proc = chip.fuse(2);
+  EXPECT_NE(proc, scaling::kNoProc);
+  const auto result = chip.run_program(
+      proc, arch::linear_pipeline_program(3),
+      {{"in", {arch::make_word_i(5)}}}, 1, 100000);
+  EXPECT_TRUE(result.exec.completed);
+  snapshot::Snapshot checkpoint;
+  EXPECT_TRUE(chip.save(checkpoint).ok());
+  return checkpoint;
+}
+
+TEST(ChipCheckpoint, InconsistentObjectStackIsCorrupt) {
+  // ap.object_space: i32 capacity, u64 count, count x u32 ids.
+  for (const bool duplicate : {true, false}) {
+    snapshot::Snapshot checkpoint = busy_chip_checkpoint();
+    bool patched = false;
+    for (const std::size_t at : section_payloads(checkpoint,
+                                                 "ap.object_space")) {
+      if (load<std::uint64_t>(checkpoint, at + 4) < 2) continue;
+      const std::size_t ids = at + 12;
+      store<std::uint32_t>(checkpoint, ids + 4,
+                           duplicate ? load<std::uint32_t>(checkpoint, ids)
+                                     : arch::kObjectIdLimit);
+      patched = true;
+      break;
+    }
+    ASSERT_TRUE(patched);
+    core::VlsiProcessor chip(small_chip());
+    const Status restored = chip.restore(checkpoint);
+    EXPECT_EQ(restored.code(), StatusCode::kCorruptSnapshot)
+        << restored.message();
+  }
+}
+
+TEST(ChipCheckpoint, RouteOverDeadSegmentIsCorrupt) {
+  // csd.network: u32 positions, u32 channels, u64 n, n x (id, source,
+  // sink, channel) u32s, u64 + u32 free slots, u64 active, u64 + u8
+  // dead map.
+  snapshot::Snapshot checkpoint = busy_chip_checkpoint();
+  bool patched = false;
+  for (const std::size_t at : section_payloads(checkpoint, "csd.network")) {
+    const auto positions = load<std::uint32_t>(checkpoint, at);
+    const auto n = load<std::uint64_t>(checkpoint, at + 8);
+    const std::size_t routes = at + 16;
+    const std::size_t free_count = routes + n * 16;
+    const std::size_t dead_map =
+        free_count + 8 + load<std::uint64_t>(checkpoint, free_count) * 4 + 8 +
+        8;
+    for (std::size_t i = 0; i < n && !patched; ++i) {
+      const std::size_t route = routes + i * 16;
+      if (load<std::uint32_t>(checkpoint, route) == csd::kNoRoute) continue;
+      const auto source = load<std::uint32_t>(checkpoint, route + 4);
+      const auto sink = load<std::uint32_t>(checkpoint, route + 8);
+      const auto channel = load<std::uint32_t>(checkpoint, route + 12);
+      const std::size_t segment =
+          std::size_t{channel} * (positions - 1) + std::min(source, sink);
+      store<std::uint8_t>(checkpoint, dead_map + segment, 1);
+      patched = true;
+    }
+    if (patched) break;
+  }
+  ASSERT_TRUE(patched);
+  core::VlsiProcessor chip(small_chip());
+  const Status restored = chip.restore(checkpoint);
+  EXPECT_EQ(restored.code(), StatusCode::kCorruptSnapshot)
+      << restored.message();
 }
 
 // --- Status facade --------------------------------------------------------
