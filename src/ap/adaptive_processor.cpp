@@ -311,7 +311,7 @@ std::optional<arch::ObjectId> AdaptiveProcessor::handle_defective_object() {
     // Chains go dormant; the object can fault back into the shrunken
     // stack and re-route.
     if (library_.contains(*evicted)) {
-      library_.write_back(library_.fetch(*evicted));
+      library_.write_back(*evicted);
     }
   }
   chains_.refresh();
@@ -385,7 +385,13 @@ void AdaptiveProcessor::restore(snapshot::Reader& r) {
 
   space_.restore(r);
   // Capacity may have shrunk since construction (defective objects);
-  // the object space carries the live value.
+  // the object space carries the live value. It never grows past the
+  // stack region the CSD network was built for.
+  if (space_.capacity() >
+      static_cast<int>(network_.positions()) - config_.memory_blocks) {
+    throw snapshot::SnapshotError(
+        "snapshot object space is larger than this AP's array");
+  }
   config_.capacity = space_.capacity();
   wsrf_.restore(r);
   library_.restore(r);
@@ -438,7 +444,7 @@ void AdaptiveProcessor::release_datapath() {
   // Objects stay cached in the object space; only their active pins and
   // chains go away.
   for (const auto& obj : program_->library) {
-    if (wsrf_.lookup(obj.id) != nullptr) wsrf_.set_active(obj.id, false);
+    if (wsrf_.contains(obj.id)) wsrf_.set_active(obj.id, false);
   }
   ++stats_.releases;
   spare_ = std::move(executor_);

@@ -21,7 +21,7 @@
 #include "ap/object_space.hpp"
 #include "ap/pipeline.hpp"
 #include "ap/wsrf.hpp"
-#include "common/trace.hpp"
+#include "obs/trace_sink.hpp"
 #include "csd/dynamic_csd.hpp"
 #include "obs/metrics.hpp"
 
@@ -136,7 +136,7 @@ class AdaptiveProcessor {
   const ReplacementScheduler& replacement() const { return scheduler_; }
   MemorySystem& memory() { return memory_; }
   const ApStats& stats() const { return stats_; }
-  Trace& trace() { return trace_; }
+  obs::TraceSink& trace() { return trace_; }
 
   /// Publishes the AP's lifetime counters into `registry` under
   /// "<prefix>..." names (configuration pipeline, executor, network,
@@ -180,7 +180,7 @@ class AdaptiveProcessor {
   void install_execution_hooks();
 
   ApConfig config_;
-  Trace trace_;
+  obs::TraceSink trace_;
   ObjectSpace space_;
   Wsrf wsrf_;
   ObjectLibrary library_;

@@ -30,7 +30,8 @@ std::int64_t wrap_rem(std::int64_t a, std::int64_t b) {
 }  // namespace
 
 Executor::Executor(const arch::Program& program, const ObjectSpace& space,
-                   MemorySystem& memory, ExecConfig config, Trace* trace)
+                   MemorySystem& memory, ExecConfig config,
+                   obs::TraceSink* trace)
     : program_(&program),
       space_(space),
       memory_(memory),

@@ -133,11 +133,8 @@ const arch::LogicalObject& ObjectLibrary::fetch(arch::ObjectId id) const {
   return it->second;
 }
 
-void ObjectLibrary::write_back(const arch::LogicalObject& object) {
-  const auto it = objects_.find(object.id);
-  VLSIP_REQUIRE(it != objects_.end(),
-                "write-back of object the library never held");
-  it->second = object;
+void ObjectLibrary::write_back(arch::ObjectId id) {
+  VLSIP_REQUIRE(contains(id), "write-back of object the library never held");
   ++write_backs_;
 }
 

@@ -136,10 +136,10 @@ class ObjectLibrary {
   const arch::LogicalObject& fetch(arch::ObjectId id) const;
   std::size_t size() const { return objects_.size(); }
 
-  /// Write-back of a replaced object (§2.5). The library keeps the most
-  /// recent state; write-backs of unknown objects are precondition
-  /// errors.
-  void write_back(const arch::LogicalObject& object);
+  /// Write-back of a replaced object (§2.5). The library already holds
+  /// the object's state, so this only counts the transfer; write-backs
+  /// of unknown objects are precondition errors.
+  void write_back(arch::ObjectId id);
 
   std::size_t write_backs() const { return write_backs_; }
 

@@ -106,6 +106,12 @@ void ObjectSpace::restore(snapshot::Reader& r) {
   const int capacity = r.i32();
   std::vector<arch::ObjectId> stack = r.vec_u32();
   const std::uint64_t version = r.u64();
+  restore_stack(capacity, std::move(stack), version);
+}
+
+void ObjectSpace::restore_stack(int capacity,
+                                std::vector<arch::ObjectId> stack,
+                                std::uint64_t version) {
   if (capacity < 1 || stack.size() > static_cast<std::size_t>(capacity)) {
     throw snapshot::SnapshotError("snapshot object stack exceeds capacity");
   }

@@ -88,11 +88,17 @@ class ObjectSpace {
   std::string render() const;
 
   /// Checkpoint codec. restore() overwrites capacity (it shrinks at
-  /// runtime via reduce_capacity) and rebuilds the id index; a stack
-  /// larger than its capacity, a duplicate id or an id at or above
-  /// arch::kObjectIdLimit throws snapshot::SnapshotError.
+  /// runtime via reduce_capacity) and goes through restore_stack().
   void save(snapshot::Writer& w) const;
   void restore(snapshot::Reader& r);
+
+  /// Replaces the whole state with a decoded stack (top first) and
+  /// rebuilds the id index: the one check of every checkpointed LRU
+  /// stack. A capacity below 1, a stack larger than its capacity, a
+  /// repeated id or an id at or above arch::kObjectIdLimit throws
+  /// snapshot::SnapshotError and leaves *this unchanged.
+  void restore_stack(int capacity, std::vector<arch::ObjectId> stack,
+                     std::uint64_t version);
 
  private:
   static constexpr int kAbsent = -1;

@@ -108,7 +108,7 @@ ConfigurationPipeline::ConfigurationPipeline(ObjectSpace& space, Wsrf& wsrf,
                                              ChainSet& chains,
                                              ReplacementScheduler& scheduler,
                                              PipelineConfig config,
-                                             Trace* trace)
+                                             obs::TraceSink* trace)
     : space_(space),
       wsrf_(wsrf),
       library_(library),
@@ -126,7 +126,7 @@ std::uint64_t ConfigurationPipeline::ensure_resident(
   if (const auto pos = space_.find(id)) {
     // Hit. Central WSRF tag check; a retired tag forces an array search.
     ++stats.hits;
-    if (wsrf_.lookup(id) == nullptr) {
+    if (!wsrf_.contains(id)) {
       ++stats.array_searches;
       now += static_cast<std::uint64_t>(config_.array_search_penalty);
       wsrf_.insert(id);
@@ -168,7 +168,7 @@ std::uint64_t ConfigurationPipeline::ensure_resident(
           scheduler_.schedule_write_back(victim, t);
       stats.write_back_stalls += proceed - t;
       t = proceed;
-      library_.write_back(library_.fetch(victim));
+      library_.write_back(victim);
       ++stats.write_backs;
     }
     wsrf_.erase(victim);

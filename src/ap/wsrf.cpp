@@ -1,93 +1,89 @@
 #include "ap/wsrf.hpp"
 
+#include <algorithm>
+#include <vector>
+
 #include "common/require.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace vlsip::ap {
 
-Wsrf::Wsrf(int capacity) : capacity_(capacity) {
-  VLSIP_REQUIRE(capacity >= 1, "WSRF needs at least one register");
-}
+Wsrf::Wsrf(int capacity) : order_(capacity) {}
 
-const WsrfEntry* Wsrf::lookup(arch::ObjectId id) const {
-  const auto it = index_.find(id);
-  return it == index_.end() ? nullptr : &*it->second;
+void Wsrf::unpin(arch::ObjectId id) {
+  if (id < active_.size()) active_[id] = false;
 }
 
 bool Wsrf::insert(arch::ObjectId id) {
-  auto it = index_.find(id);
-  if (it != index_.end()) {
-    // Refresh: move to the back (youngest).
-    entries_.splice(entries_.end(), entries_, it->second);
+  if (order_.contains(id)) {
+    order_.promote(id);  // refresh: becomes the youngest
     return true;
   }
-  if (size() == capacity_) {
+  if (order_.full()) {
     // Retire the oldest inactive entry.
-    auto victim = entries_.begin();
-    while (victim != entries_.end() && victim->active) ++victim;
-    if (victim == entries_.end()) return false;  // all pinned
-    index_.erase(victim->id);
-    entries_.erase(victim);
+    const auto& stack = order_.stack();
+    const auto victim = std::find_if(
+        stack.rbegin(), stack.rend(),
+        [this](arch::ObjectId v) { return !active(v); });
+    if (victim == stack.rend()) return false;  // all pinned
+    order_.remove(*victim);
     ++retirements_;
   }
-  entries_.push_back(WsrfEntry{id, std::nullopt, false});
-  index_[id] = std::prev(entries_.end());
+  order_.insert_top(id);
   return true;
 }
 
-void Wsrf::set_channel(arch::ObjectId id, std::uint32_t channel) {
-  auto it = index_.find(id);
-  VLSIP_REQUIRE(it != index_.end(), "no WSRF entry for object");
-  it->second->channel = channel;
-}
-
 void Wsrf::set_active(arch::ObjectId id, bool active) {
-  auto it = index_.find(id);
-  VLSIP_REQUIRE(it != index_.end(), "no WSRF entry for object");
-  it->second->active = active;
+  VLSIP_REQUIRE(order_.contains(id), "no WSRF entry for object");
+  if (id >= active_.size()) active_.resize(std::size_t{id} + 1, false);
+  active_[id] = active;
 }
 
 void Wsrf::erase(arch::ObjectId id) {
-  auto it = index_.find(id);
-  if (it == index_.end()) return;
-  entries_.erase(it->second);
-  index_.erase(it);
+  if (!order_.contains(id)) return;
+  order_.remove(id);
+  unpin(id);
 }
 
 void Wsrf::clear() {
-  entries_.clear();
-  index_.clear();
+  while (!order_.empty()) unpin(order_.evict_bottom());
 }
 
 void Wsrf::save(snapshot::Writer& w) const {
   w.section("ap.wsrf");
-  w.i32(capacity_);
-  w.u64(entries_.size());
-  for (const auto& e : entries_) {
-    w.u32(e.id);
-    w.b(e.channel.has_value());
-    w.u32(e.channel.value_or(0));
-    w.b(e.active);
+  w.i32(capacity());
+  w.u64(order_.stack().size());
+  for (auto it = order_.stack().rbegin(); it != order_.stack().rend(); ++it) {
+    w.u32(*it);
+    w.b(false);  // channel slot
+    w.u32(0);
+    w.b(active(*it));
   }
   w.u64(retirements_);
 }
 
 void Wsrf::restore(snapshot::Reader& r) {
   r.section("ap.wsrf");
-  capacity_ = r.i32();
-  clear();
-  const std::uint64_t n = r.count(10);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    WsrfEntry e;
-    e.id = r.u32();
-    const bool has_channel = r.b();
-    const std::uint32_t channel = r.u32();
-    if (has_channel) e.channel = channel;
-    e.active = r.b();
-    entries_.push_back(e);
-    index_[e.id] = std::prev(entries_.end());
+  const int capacity = r.i32();
+  if (capacity != this->capacity()) {
+    throw snapshot::SnapshotError(
+        "snapshot WSRF capacity differs from this WSRF's");
   }
-  retirements_ = r.u64();
+  const std::uint64_t n = r.count(10);
+  std::vector<arch::ObjectId> stack(n);  // top (youngest) first
+  std::vector<arch::ObjectId> pinned;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const arch::ObjectId id = r.u32();
+    r.b();  // channel slot: not recorded
+    r.u32();
+    if (r.b()) pinned.push_back(id);
+    stack[n - 1 - i] = id;
+  }
+  const std::uint64_t retirements = r.u64();
+  order_.restore_stack(capacity, std::move(stack), 0);
+  active_.assign(active_.size(), false);
+  for (const arch::ObjectId id : pinned) set_active(id, true);
+  retirements_ = retirements;
 }
 
 }  // namespace vlsip::ap

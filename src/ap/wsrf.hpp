@@ -3,21 +3,23 @@
 // The WSRF maintains the acquired elements of the working set [Denning].
 // Cache-hit detection is "centrally processed on the WSRF instead of
 // searching in the array" (§2.6.1); the acquirement pipeline stage reads
-// the acquirement signal from here, and the signal tells the object which
-// communication port (channel) to use for its chaining.
+// the acquirement signal from here. The granted channel itself lives in
+// the CSD network's route table, not in the WSRF.
 //
 // Capacity is 40 entries — the "64b x40 Reg. in WSRF" row of Table 3.
 // When the working set outgrows the WSRF, the oldest unpinned entry is
 // retired (its object stays resident; only the central tag is lost, so a
 // later request for it falls back to an array search, costing extra
 // cycles — modelled by the pipeline).
+//
+// The tags form an LRU stack over object ids, so they reuse the object
+// space's stack (top = youngest) plus an id-indexed bitmap of the pins.
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <optional>
-#include <unordered_map>
+#include <vector>
 
+#include "ap/object_space.hpp"
 #include "arch/object.hpp"
 
 namespace vlsip::snapshot {
@@ -27,34 +29,30 @@ class Reader;
 
 namespace vlsip::ap {
 
-struct WsrfEntry {
-  arch::ObjectId id = arch::kNoObject;
-  /// Granted CSD channel of the object's most recent chaining, if any.
-  std::optional<std::uint32_t> channel;
-  /// Active objects are part of a configured datapath and may not be
-  /// retired to make room.
-  bool active = false;
-};
-
 class Wsrf {
  public:
   explicit Wsrf(int capacity = 40);
 
-  int capacity() const { return capacity_; }
-  int size() const { return static_cast<int>(entries_.size()); }
+  int capacity() const { return order_.capacity(); }
+  int size() const { return order_.size(); }
 
-  /// Central tag search. Returns the entry if present (O(1) — searching
-  /// WSRFs "can be performed in parallel").
-  const WsrfEntry* lookup(arch::ObjectId id) const;
+  /// Central tag search (O(1) — searching WSRFs "can be performed in
+  /// parallel").
+  bool contains(arch::ObjectId id) const { return order_.contains(id); }
+
+  /// Active entries are part of a configured datapath and may not be
+  /// retired to make room.
+  bool active(arch::ObjectId id) const {
+    return id < active_.size() && active_[id];
+  }
 
   /// Inserts or refreshes an entry; retires the oldest inactive entry if
   /// full. Returns false if the WSRF is full of active entries and the
   /// insert was dropped (the pipeline then relies on array search).
+  /// Requires id < arch::kObjectIdLimit.
   bool insert(arch::ObjectId id);
 
-  /// Records the acquirement signal (granted channel) for an entry.
-  void set_channel(arch::ObjectId id, std::uint32_t channel);
-
+  /// Requires an entry for `id`.
   void set_active(arch::ObjectId id, bool active);
 
   /// Removes the entry when its object is released or evicted.
@@ -64,16 +62,21 @@ class Wsrf {
 
   std::size_t retirements() const { return retirements_; }
 
-  /// Checkpoint codec: entries in insertion order (oldest first), so the
-  /// restored list reproduces retirement order exactly.
+  /// Checkpoint codec: entries oldest first, so the restored stack
+  /// reproduces retirement order exactly. Each entry keeps the section's
+  /// channel slot, written as absent, so checkpoint bytes stay stable.
+  /// restore() checks the stack with ObjectSpace::restore_stack and also
+  /// rejects a capacity other than this WSRF's (snapshot::SnapshotError).
   void save(snapshot::Writer& w) const;
   void restore(snapshot::Reader& r);
 
  private:
-  int capacity_;
-  /// Insertion-ordered entries (front = oldest) with an id index.
-  std::list<WsrfEntry> entries_;
-  std::unordered_map<arch::ObjectId, std::list<WsrfEntry>::iterator> index_;
+  void unpin(arch::ObjectId id);
+
+  /// Recency order of the tags (top = youngest).
+  ObjectSpace order_;
+  /// active_[id]: the entry for `id` is pinned. Never set for an absent id.
+  std::vector<bool> active_;
   std::size_t retirements_ = 0;
 };
 

@@ -1,31 +1,27 @@
 #include "arch/dependency.hpp"
 
 #include <algorithm>
-#include <list>
 #include <unordered_map>
 
 namespace vlsip::arch {
 
 std::vector<std::size_t> stack_distances(const std::vector<ObjectId>& trace) {
-  // LRU stack as a list (top = front) with an index for O(1) lookup.
-  // Distance is the 1-based position of the object before promotion.
+  // A plain recency list (top = front), walked from the top. Kept apart
+  // from ap::ObjectSpace on purpose: it is the reference the pipeline's
+  // stack is checked against.
   std::vector<std::size_t> distances;
   distances.reserve(trace.size());
-  std::list<ObjectId> stack;
-  std::unordered_map<ObjectId, std::list<ObjectId>::iterator> where;
+  std::vector<ObjectId> stack;
 
   for (ObjectId id : trace) {
-    auto it = where.find(id);
-    if (it == where.end()) {
+    const auto it = std::find(stack.begin(), stack.end(), id);
+    if (it == stack.end()) {
       distances.push_back(kColdDistance);
     } else {
-      std::size_t depth = 1;
-      for (auto walk = stack.begin(); walk != it->second; ++walk) ++depth;
-      distances.push_back(depth);
-      stack.erase(it->second);
+      distances.push_back(static_cast<std::size_t>(it - stack.begin()) + 1);
+      stack.erase(it);
     }
-    stack.push_front(id);
-    where[id] = stack.begin();
+    stack.insert(stack.begin(), id);
   }
   return distances;
 }

@@ -23,7 +23,7 @@
 
 #include "ap/adaptive_processor.hpp"
 #include "arch/datapath.hpp"
-#include "common/trace.hpp"
+#include "obs/trace_sink.hpp"
 #include "core/status.hpp"
 #include "costmodel/energy.hpp"
 #include "costmodel/vlsi_model.hpp"
@@ -132,7 +132,7 @@ class VlsiProcessor {
   topology::STopologyFabric& fabric() { return fabric_; }
   noc::NocFabric& noc() { return noc_; }
   scaling::ScalingManager& manager() { return manager_; }
-  Trace& trace() { return trace_; }
+  obs::TraceSink& trace() { return trace_; }
 
   /// Publishes the whole chip into `registry`: NoC fabric counters
   /// ("noc."), scaling/state-machine/AP-layer counters ("scaling.",
@@ -256,7 +256,7 @@ class VlsiProcessor {
   void save_header(snapshot::Writer& w) const;
 
   ChipConfig config_;
-  Trace trace_;
+  obs::TraceSink trace_;
   topology::STopologyFabric fabric_;
   noc::NocFabric noc_;
   scaling::ScalingManager manager_;

@@ -35,7 +35,7 @@ void for_each_word(std::size_t b, std::size_t e, Fn&& fn) {
 
 }  // namespace
 
-DynamicCsdNetwork::DynamicCsdNetwork(CsdConfig config, Trace* trace)
+DynamicCsdNetwork::DynamicCsdNetwork(CsdConfig config, obs::TraceSink* trace)
     : config_(config), trace_(trace) {
   VLSIP_REQUIRE(config_.positions >= 2, "need at least two positions");
   VLSIP_REQUIRE(config_.channels >= 1, "need at least one channel");

@@ -6,13 +6,12 @@
 // carried. Recording is disabled by default and costs one branch per
 // call when off — the discipline the executor hot path relies on.
 //
-// Compatibility: `vlsip::Trace` (common/trace.hpp) is now an alias of
-// this class. The legacy record(cycle, category, message) entry point
-// maps to an untyped event (layer kOther, no id), and count()/
-// contains()/first_cycle_of()/render() behave exactly as the old Trace
-// did, so every existing producer and test keeps working unchanged.
-// New call sites should prefer event(), which carries layer/id/duration
-// into the chrome-trace exporter.
+// Compatibility: TraceSink replaced the old string `Trace`. The legacy
+// record(cycle, category, message) entry point maps to an untyped event
+// (layer kOther, no id), and count()/contains()/first_cycle_of()/
+// render() behave exactly as the old Trace did. New call sites should
+// prefer event(), which carries layer/id/duration into the chrome-trace
+// exporter.
 //
 // A sink may be capacity-capped: set_capacity(N) turns it into a
 // bounded ring that keeps only the N most recent events (oldest are
@@ -129,9 +128,3 @@ class TraceSink {
 void write_chrome_trace(const TraceSink& sink, std::ostream& out);
 
 }  // namespace vlsip::obs
-
-namespace vlsip {
-/// The historical name. common/trace.hpp re-exports this alias; new
-/// code should say obs::TraceSink.
-using Trace = obs::TraceSink;
-}  // namespace vlsip

@@ -20,7 +20,7 @@
 
 #include "ap/adaptive_processor.hpp"
 #include "common/stats.hpp"
-#include "common/trace.hpp"
+#include "obs/trace_sink.hpp"
 #include "noc/noc_fabric.hpp"
 #include "obs/metrics.hpp"
 #include "scaling/state_machine.hpp"
@@ -79,7 +79,7 @@ struct ScalingConfig {
 class ScalingManager {
  public:
   ScalingManager(topology::STopologyFabric& fabric, noc::NocFabric& noc,
-                 ScalingConfig config = {}, Trace* trace = nullptr);
+                 ScalingConfig config = {}, obs::TraceSink* trace = nullptr);
 
   // --- scaling ---------------------------------------------------------
 
@@ -264,7 +264,7 @@ class ScalingManager {
   noc::NocFabric& noc_;
   topology::RegionManager regions_;
   ScalingConfig config_;
-  Trace* trace_;
+  obs::TraceSink* trace_;
   std::vector<ScaledProcessor> procs_;
   std::vector<bool> defective_;
   ScalingStats stats_;

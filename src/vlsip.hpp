@@ -11,7 +11,7 @@
 //                             1, 100000);
 //
 // Layering (each header is also individually includable):
-//   common/    deterministic RNG, stats, tables, events
+//   common/    deterministic RNG, stats, tables
 //   obs/       observability spine: structured trace events, metric
 //              registry, snapshots, JSON + chrome-trace exporters
 //   arch/      object model, streams, builder, analyses, serialization
@@ -34,12 +34,10 @@
 //              scenario-pack traffic generator and report runner
 #pragma once
 
-#include "common/event_queue.hpp"
 #include "common/require.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "common/trace.hpp"
 
 #include "obs/farm_metrics.hpp"
 #include "obs/json.hpp"

@@ -112,10 +112,10 @@ TEST(ObjectLibrary, WriteBackCounts) {
   arch::LogicalObject o;
   o.id = 1;
   lib.store(o);
-  lib.write_back(o);
+  lib.write_back(1);
   EXPECT_EQ(lib.write_backs(), 1u);
-  o.id = 2;
-  EXPECT_THROW(lib.write_back(o), vlsip::PreconditionError);
+  EXPECT_THROW(lib.write_back(2), vlsip::PreconditionError);
+  EXPECT_EQ(lib.write_backs(), 1u);
 }
 
 // ---- ObjectSpace (stack, §2.4) -------------------------------------------------
@@ -284,8 +284,8 @@ TEST(ObjectSpace, RestoreRejectsInconsistentStacks) {
 TEST(Wsrf, InsertAndLookup) {
   Wsrf w(4);
   EXPECT_TRUE(w.insert(7));
-  ASSERT_NE(w.lookup(7), nullptr);
-  EXPECT_EQ(w.lookup(9), nullptr);
+  ASSERT_TRUE(w.contains(7));
+  EXPECT_FALSE(w.contains(9));
 }
 
 TEST(Wsrf, RetiresOldestInactive) {
@@ -293,8 +293,8 @@ TEST(Wsrf, RetiresOldestInactive) {
   w.insert(1);
   w.insert(2);
   w.insert(3);  // retires 1
-  EXPECT_EQ(w.lookup(1), nullptr);
-  EXPECT_NE(w.lookup(2), nullptr);
+  EXPECT_FALSE(w.contains(1));
+  EXPECT_TRUE(w.contains(2));
   EXPECT_EQ(w.retirements(), 1u);
 }
 
@@ -307,15 +307,7 @@ TEST(Wsrf, ActiveEntriesArePinned) {
   EXPECT_FALSE(w.insert(3));  // all pinned
   w.set_active(1, false);
   EXPECT_TRUE(w.insert(3));   // retires 1
-  EXPECT_EQ(w.lookup(1), nullptr);
-}
-
-TEST(Wsrf, ChannelRecording) {
-  Wsrf w;
-  w.insert(5);
-  w.set_channel(5, 3);
-  EXPECT_EQ(w.lookup(5)->channel.value(), 3u);
-  EXPECT_THROW(w.set_channel(9, 1), vlsip::PreconditionError);
+  EXPECT_FALSE(w.contains(1));
 }
 
 TEST(Wsrf, RefreshMovesToYoungest) {
@@ -324,8 +316,8 @@ TEST(Wsrf, RefreshMovesToYoungest) {
   w.insert(2);
   w.insert(1);  // refresh: 1 becomes youngest
   w.insert(3);  // retires 2, not 1
-  EXPECT_NE(w.lookup(1), nullptr);
-  EXPECT_EQ(w.lookup(2), nullptr);
+  EXPECT_TRUE(w.contains(1));
+  EXPECT_FALSE(w.contains(2));
 }
 
 TEST(Wsrf, EraseAndClear) {
@@ -333,10 +325,119 @@ TEST(Wsrf, EraseAndClear) {
   w.insert(1);
   w.insert(2);
   w.erase(1);
-  EXPECT_EQ(w.lookup(1), nullptr);
+  EXPECT_FALSE(w.contains(1));
   w.erase(99);  // erasing absent id is a no-op
   w.clear();
   EXPECT_EQ(w.size(), 0);
+}
+
+TEST(Wsrf, MatchesNaiveModel) {
+  // The shared LRU stack plus pin bitmap against a plain oldest-first
+  // vector over random insert/set_active/erase/clear. Capacities are
+  // small and most pins stick, so the full and all-pinned cases recur.
+  struct Tag {
+    arch::ObjectId id;
+    bool active;
+  };
+  const auto saved = [](const Wsrf& w) {
+    snapshot::Snapshot snap;
+    snapshot::Writer out(snap);
+    w.save(out);
+    return snap;
+  };
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Xoshiro256 rng(seed);
+    const int capacity = 1 + static_cast<int>(rng.uniform(4));
+    Wsrf w(capacity);
+    std::vector<Tag> model;  // front = oldest
+    std::size_t retirements = 0;
+    bool saw_full = false;
+    bool saw_all_pinned = false;
+    const auto find = [&](arch::ObjectId id) {
+      return std::find_if(model.begin(), model.end(),
+                          [id](const Tag& t) { return t.id == id; });
+    };
+    for (int step = 0; step < 400; ++step) {
+      const auto action = rng.uniform(40);
+      const auto id = static_cast<arch::ObjectId>(
+          rng.uniform(static_cast<std::uint64_t>(capacity) + 3));
+      const auto it = find(id);
+      if (action < 20) {
+        bool inserted = true;
+        if (it != model.end()) {
+          const Tag refreshed = *it;
+          model.erase(it);
+          model.push_back(refreshed);
+        } else {
+          if (static_cast<int>(model.size()) == capacity) {
+            saw_full = true;
+            const auto victim =
+                std::find_if(model.begin(), model.end(),
+                             [](const Tag& t) { return !t.active; });
+            if (victim == model.end()) {
+              inserted = false;
+              saw_all_pinned = true;
+            } else {
+              model.erase(victim);
+              ++retirements;
+            }
+          }
+          if (inserted) model.push_back(Tag{id, false});
+        }
+        ASSERT_EQ(w.insert(id), inserted)
+            << "seed " << seed << " step " << step;
+      } else if (action < 32) {
+        // Mostly pin a present entry, so whole-WSRF pinning comes up.
+        const bool pin = rng.uniform(4) != 0;
+        if (!model.empty() && rng.uniform(4) != 0) {
+          Tag& t = model[rng.uniform(model.size())];
+          w.set_active(t.id, pin);
+          t.active = pin;
+        } else if (it != model.end()) {
+          w.set_active(id, pin);
+          it->active = pin;
+        } else {
+          EXPECT_THROW(w.set_active(id, pin), vlsip::PreconditionError);
+        }
+      } else if (action < 39) {
+        w.erase(id);
+        if (it != model.end()) model.erase(it);
+      } else {
+        w.clear();
+        model.clear();
+      }
+      ASSERT_EQ(w.size(), static_cast<int>(model.size()));
+      ASSERT_EQ(w.retirements(), retirements);
+      for (arch::ObjectId probe = 0; probe < 12; ++probe) {
+        const auto m = find(probe);
+        ASSERT_EQ(w.contains(probe), m != model.end())
+            << "seed " << seed << " step " << step << " id " << probe;
+        ASSERT_EQ(w.active(probe), m != model.end() && m->active);
+      }
+      // The ap.wsrf bytes: the model's entries oldest first, channel
+      // slot absent; a restored twin saves the same bytes.
+      snapshot::Snapshot expected;
+      snapshot::Writer out(expected);
+      out.section("ap.wsrf");
+      out.i32(capacity);
+      out.u64(model.size());
+      for (const Tag& t : model) {
+        out.u32(t.id);
+        out.b(false);
+        out.u32(0);
+        out.b(t.active);
+      }
+      out.u64(retirements);
+      const snapshot::Snapshot bytes = saved(w);
+      ASSERT_EQ(bytes.bytes(), expected.bytes());
+      Wsrf twin(capacity);
+      snapshot::Reader in(bytes);
+      twin.restore(in);
+      ASSERT_EQ(saved(twin).bytes(), bytes.bytes());
+    }
+    EXPECT_TRUE(saw_full) << "seed " << seed;
+    EXPECT_TRUE(saw_all_pinned) << "seed " << seed;
+  }
 }
 
 // ---- End-to-end: configure + execute small programs ---------------------------------

@@ -1,4 +1,4 @@
-// Tests for the common utilities: RNG, statistics, tables, events, trace.
+// Tests for the common utilities: RNG, statistics, tables, trace.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -6,13 +6,12 @@
 #include <vector>
 
 #include "common/activity_set.hpp"
-#include "common/event_queue.hpp"
 #include "common/simd.hpp"
 #include "common/require.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "common/trace.hpp"
+#include "obs/trace_sink.hpp"
 
 namespace vlsip {
 namespace {
@@ -324,70 +323,16 @@ TEST(Format, SigDigits) {
   EXPECT_EQ(format_sig(1234.5, 2), "1.2e+03");
 }
 
-// ---- EventQueue -------------------------------------------------------------------
-
-TEST(EventQueue, FiresInTimeOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule_at(5, [&](Cycle) { order.push_back(2); });
-  q.schedule_at(1, [&](Cycle) { order.push_back(1); });
-  q.schedule_at(9, [&](Cycle) { order.push_back(3); });
-  q.run_until(10);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventQueue, SameCycleFifo) {
-  EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    q.schedule_at(3, [&order, i](Cycle) { order.push_back(i); });
-  }
-  q.run_until(3);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, RunUntilLeavesLaterEvents) {
-  EventQueue q;
-  int fired = 0;
-  q.schedule_at(2, [&](Cycle) { ++fired; });
-  q.schedule_at(7, [&](Cycle) { ++fired; });
-  q.run_until(5);
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(q.size(), 1u);
-  EXPECT_EQ(q.next_time(), 7u);
-}
-
-TEST(EventQueue, HandlerMaySchedule) {
-  EventQueue q;
-  int chain = 0;
-  q.schedule_at(1, [&](Cycle now) {
-    ++chain;
-    q.schedule_in(now, 0, [&](Cycle) { ++chain; });
-  });
-  q.run_until(1);
-  EXPECT_EQ(chain, 2);
-}
-
-TEST(EventQueue, NullHandlerThrows) {
-  EventQueue q;
-  EXPECT_THROW(q.schedule_at(1, nullptr), PreconditionError);
-}
-
-TEST(EventQueue, NextTimeOnEmptyThrows) {
-  EventQueue q;
-  EXPECT_THROW(q.next_time(), PreconditionError);
-}
-
 // ---- Trace ----------------------------------------------------------------------
 
 TEST(Trace, DisabledRecordsNothing) {
-  Trace t(false);
+  obs::TraceSink t(false);
   t.record(1, "cat", "message");
   EXPECT_TRUE(t.entries().empty());
 }
 
 TEST(Trace, EnabledRecordsAndCounts) {
-  Trace t(true);
+  obs::TraceSink t(true);
   t.record(1, "a", "first");
   t.record(2, "b", "second");
   t.record(3, "a", "third");
@@ -400,7 +345,7 @@ TEST(Trace, EnabledRecordsAndCounts) {
 }
 
 TEST(Trace, RenderContainsFields) {
-  Trace t(true);
+  obs::TraceSink t(true);
   t.record(7, "cat", "msg");
   const auto s = t.render();
   EXPECT_NE(s.find("7"), std::string::npos);
@@ -409,7 +354,7 @@ TEST(Trace, RenderContainsFields) {
 }
 
 TEST(Trace, CapacityCapEvictsOldest) {
-  Trace t(true);
+  obs::TraceSink t(true);
   t.set_capacity(3);
   for (std::uint64_t c = 0; c < 5; ++c) {
     t.record(c, "cat", "m" + std::to_string(c));
@@ -424,7 +369,7 @@ TEST(Trace, CapacityCapEvictsOldest) {
 }
 
 TEST(Trace, ShrinkingCapacityEvictsImmediately) {
-  Trace t(true);
+  obs::TraceSink t(true);
   for (std::uint64_t c = 0; c < 4; ++c) t.record(c, "cat", "msg");
   t.set_capacity(2);
   EXPECT_EQ(t.entries().size(), 2u);
@@ -433,12 +378,12 @@ TEST(Trace, ShrinkingCapacityEvictsImmediately) {
 }
 
 TEST(Trace, ClearEmptiesEntriesButKeepsLifetimeDropCount) {
-  // Pinned semantics (see trace.hpp): dropped() counts capacity-cap
+  // Pinned semantics (see obs/trace_sink.hpp): dropped() counts capacity-cap
   // evictions over the trace's *lifetime*. clear() surrenders the
   // buffered entries without touching that counter — so a consumer
   // that periodically drains the trace can still tell eviction ever
   // happened — and the cleared entries themselves are not "dropped".
-  Trace t(true);
+  obs::TraceSink t(true);
   t.set_capacity(3);
   for (std::uint64_t c = 0; c < 5; ++c) t.record(c, "cat", "msg");
   ASSERT_EQ(t.entries().size(), 3u);
@@ -456,7 +401,7 @@ TEST(Trace, ClearEmptiesEntriesButKeepsLifetimeDropCount) {
 }
 
 TEST(Trace, UnlimitedByDefault) {
-  Trace t(true);
+  obs::TraceSink t(true);
   EXPECT_EQ(t.capacity(), 0u);
   for (std::uint64_t c = 0; c < 100; ++c) t.record(c, "cat", "msg");
   EXPECT_EQ(t.entries().size(), 100u);

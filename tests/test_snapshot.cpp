@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "ap/wsrf.hpp"
 #include "arch/datapath.hpp"
 #include "common/activity_set.hpp"
 #include "core/builder.hpp"
@@ -184,6 +185,74 @@ TEST(SnapshotFormat, FileRoundTrip) {
   std::remove(path.c_str());
 }
 
+// --- WSRF section ----------------------------------------------------------
+
+/// An ap.wsrf section holding `ids` oldest first, none pinned.
+snapshot::Snapshot wsrf_section(int capacity,
+                                const std::vector<arch::ObjectId>& ids) {
+  snapshot::Snapshot snap;
+  snapshot::Writer w(snap);
+  w.section("ap.wsrf");
+  w.i32(capacity);
+  w.u64(ids.size());
+  for (const arch::ObjectId id : ids) {
+    w.u32(id);
+    w.b(false);
+    w.u32(0);
+    w.b(false);
+  }
+  w.u64(0);
+  return snap;
+}
+
+/// Restores `snap` into a WSRF of capacity 4 holding {3}; expects a
+/// SnapshotError and the WSRF left as it was.
+void expect_wsrf_rejects(const snapshot::Snapshot& snap) {
+  ap::Wsrf w(4);
+  w.insert(3);
+  snapshot::Reader r(snap);
+  EXPECT_THROW(w.restore(r), snapshot::SnapshotError);
+  EXPECT_EQ(w.capacity(), 4);
+  EXPECT_EQ(w.size(), 1);
+  EXPECT_TRUE(w.contains(3));
+}
+
+TEST(WsrfRestore, RejectsCapacityBelowOne) {
+  expect_wsrf_rejects(wsrf_section(0, {}));
+}
+
+TEST(WsrfRestore, RejectsCapacityOtherThanConstructed) {
+  expect_wsrf_rejects(wsrf_section(8, {1}));
+}
+
+TEST(WsrfRestore, RejectsMoreEntriesThanCapacity) {
+  expect_wsrf_rejects(wsrf_section(4, {1, 2, 5, 6, 7}));
+}
+
+TEST(WsrfRestore, RejectsRepeatedId) {
+  expect_wsrf_rejects(wsrf_section(4, {1, 2, 1}));
+}
+
+TEST(WsrfRestore, RejectsIdOutOfRange) {
+  expect_wsrf_rejects(wsrf_section(4, {1, arch::kObjectIdLimit}));
+}
+
+TEST(WsrfRestore, AcceptsConsistentSection) {
+  ap::Wsrf w(4);
+  w.insert(3);
+  const snapshot::Snapshot snap = wsrf_section(4, {1, 2});
+  snapshot::Reader r(snap);
+  w.restore(r);
+  EXPECT_EQ(w.size(), 2);
+  EXPECT_FALSE(w.contains(3));
+  // 1 is the oldest, so a full WSRF retires it first.
+  w.insert(5);
+  w.insert(6);
+  w.insert(7);
+  EXPECT_FALSE(w.contains(1));
+  EXPECT_TRUE(w.contains(2));
+}
+
 // --- whole-chip facade ----------------------------------------------------
 
 core::ChipConfig small_chip() {
@@ -323,6 +392,44 @@ TEST(ChipCheckpoint, InconsistentObjectStackIsCorrupt) {
       if (load<std::uint64_t>(checkpoint, at + 4) < 2) continue;
       const std::size_t ids = at + 12;
       store<std::uint32_t>(checkpoint, ids + 4,
+                           duplicate ? load<std::uint32_t>(checkpoint, ids)
+                                     : arch::kObjectIdLimit);
+      patched = true;
+      break;
+    }
+    ASSERT_TRUE(patched);
+    core::VlsiProcessor chip(small_chip());
+    const Status restored = chip.restore(checkpoint);
+    EXPECT_EQ(restored.code(), StatusCode::kCorruptSnapshot)
+        << restored.message();
+  }
+}
+
+TEST(ChipCheckpoint, ObjectSpaceLargerThanArrayIsCorrupt) {
+  // ap.object_space: i32 capacity first. A capacity above the AP's
+  // array would place objects past the CSD network's positions.
+  snapshot::Snapshot checkpoint = busy_chip_checkpoint();
+  const auto sections = section_payloads(checkpoint, "ap.object_space");
+  ASSERT_FALSE(sections.empty());
+  for (const std::size_t at : sections) {
+    store<std::int32_t>(checkpoint, at, load<std::int32_t>(checkpoint, at) + 1);
+  }
+  core::VlsiProcessor chip(small_chip());
+  const Status restored = chip.restore(checkpoint);
+  EXPECT_EQ(restored.code(), StatusCode::kCorruptSnapshot)
+      << restored.message();
+}
+
+TEST(ChipCheckpoint, InconsistentWsrfIsCorrupt) {
+  // ap.wsrf: i32 capacity, u64 count, count x (u32 id, u8 has_channel,
+  // u32 channel, u8 active).
+  for (const bool duplicate : {true, false}) {
+    snapshot::Snapshot checkpoint = busy_chip_checkpoint();
+    bool patched = false;
+    for (const std::size_t at : section_payloads(checkpoint, "ap.wsrf")) {
+      if (load<std::uint64_t>(checkpoint, at + 4) < 2) continue;
+      const std::size_t ids = at + 12;
+      store<std::uint32_t>(checkpoint, ids + 10,
                            duplicate ? load<std::uint32_t>(checkpoint, ids)
                                      : arch::kObjectIdLimit);
       patched = true;
