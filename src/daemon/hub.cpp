@@ -1,5 +1,6 @@
 #include "daemon/hub.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "obs/json.hpp"
@@ -52,18 +53,24 @@ void Hub::wait() {
 }
 
 void Hub::stop() {
-  std::vector<ConnPtr> conns;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!started_) return;
     stopping_ = true;
-    conns = all_conns_;
   }
   stop_cv_.notify_all();
   dispatch_cv_.notify_all();
-  listener_.close();  // unblocks accept()
-  for (const auto& conn : conns) conn->sock.shutdown_both();
+  listener_.shutdown();  // unblocks accept()
   if (accept_thread_.joinable()) accept_thread_.join();
+  listener_.close();
+  // The accept thread registers every connection before it exits, so
+  // this list is final.
+  std::vector<ConnPtr> conns;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    conns = all_conns_;
+  }
+  for (const auto& conn : conns) conn->sock.shutdown_both();
   if (dispatch_thread_.joinable()) dispatch_thread_.join();
   if (health_thread_.joinable()) health_thread_.join();
   for (const auto& conn : conns) {
@@ -138,42 +145,54 @@ std::vector<std::uint8_t> Hub::last_migration() const {
 void Hub::accept_loop() {
   for (;;) {
     auto sock = listener_.accept();
-    if (!sock.ok()) return;  // listener closed = stopping
-    auto conn = handshake(std::move(*sock));
-    if (!conn.ok()) continue;  // handshake already answered with Error
-    ConnPtr c = *conn;
-    c->rx = std::thread([this, c] { serve_conn(c); });
+    if (!sock.ok()) return;  // listener shut down = stopping
+    auto conn = std::make_shared<Conn>();
+    conn->sock = std::move(*sock);
+    // Ended sessions and refused handshakes are reaped here, so their
+    // threads and descriptors do not pile up until stop().
+    std::vector<ConnPtr> finished;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (stopping_) return;
+      const auto ended = std::stable_partition(
+          all_conns_.begin(), all_conns_.end(),
+          [](const ConnPtr& c) { return !c->done; });
+      finished.assign(ended, all_conns_.end());
+      all_conns_.erase(ended, all_conns_.end());
+      all_conns_.push_back(conn);
+    }
+    for (const auto& ended : finished) ended->rx.join();
+    // The Hello handshake runs on the connection's own thread, so a
+    // peer that never speaks cannot hold up the next admission.
+    conn->rx = std::thread([this, conn] {
+      if (handshake(conn).ok()) serve_conn(conn);
+      std::lock_guard<std::mutex> lock(mu_);
+      conn->done = true;
+    });
   }
 }
 
-StatusOr<Hub::ConnPtr> Hub::handshake(net::Socket sock) {
-  auto frame = net::read_frame(sock, options_.max_payload);
-  if (!frame.ok()) {
+Status Hub::handshake(const ConnPtr& conn) {
+  const auto refuse = [&conn](const Status& why) {
     net::ErrorMsg err;
-    err.code = static_cast<std::int32_t>(frame.status().code());
-    err.message = frame.status().message();
-    (void)net::send_msg(sock, err);
-    return frame.status();
-  }
+    err.code = static_cast<std::int32_t>(why.code());
+    err.message = why.message();
+    (void)net::send_msg(conn->sock, err);
+    conn->sock.shutdown_both();
+    return why;
+  };
+  auto frame = net::read_frame(conn->sock, options_.max_payload);
+  if (!frame.ok()) return refuse(frame.status());
   auto hello = net::decode_payload<net::HelloMsg>(*frame);
-  if (!hello.ok()) {
-    net::ErrorMsg err;
-    err.code = static_cast<std::int32_t>(hello.status().code());
-    err.message = hello.status().message();
-    (void)net::send_msg(sock, err);
-    return hello.status();
-  }
+  if (!hello.ok()) return refuse(hello.status());
 
-  auto conn = std::make_shared<Conn>();
   conn->role = hello->role;
   conn->name = hello->name;
-  conn->sock = std::move(sock);
   conn->last_beat = std::chrono::steady_clock::now();
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) return Status(StatusCode::kUnavailable, "hub stopping");
     conn->id = next_peer_id_++;
-    all_conns_.push_back(conn);
     if (conn->role == net::Role::kWorker) {
       workers_[conn->id] = conn;
       metrics_.counter("hub.workers_joined")++;
@@ -201,7 +220,7 @@ StatusOr<Hub::ConnPtr> Hub::handshake(net::Socket sock) {
         std::string(conn->role == net::Role::kWorker ? "worker" : "client") +
             " \"" + conn->name + "\" joined");
   dispatch_cv_.notify_all();  // a new worker may unblock the dispatcher
-  return conn;
+  return Status::Ok();
 }
 
 void Hub::serve_conn(ConnPtr conn) {

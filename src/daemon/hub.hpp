@@ -122,6 +122,8 @@ class Hub {
     bool draining = false;
     std::size_t in_flight = 0;
     std::uint64_t served = 0;
+    /// Set as rx exits; the accept thread then joins and drops it.
+    bool done = false;
   };
   using ConnPtr = std::shared_ptr<Conn>;
 
@@ -142,8 +144,10 @@ class Hub {
   void serve_worker(ConnPtr conn);
   void serve_client(ConnPtr conn);
 
-  /// Handshake: read Hello, answer HelloAck (or Error), register.
-  StatusOr<ConnPtr> handshake(net::Socket sock);
+  /// Handshake on the connection's own thread: read Hello, answer
+  /// HelloAck and register the peer, or answer Error and shut the
+  /// socket down.
+  Status handshake(const ConnPtr& conn);
 
   /// Marks the worker dead, requeues its in-flight jobs, notifies the
   /// dispatcher. Safe to call twice (second call is a no-op).
@@ -185,7 +189,9 @@ class Hub {
   std::uint64_t next_job_id_ = 1;
   std::map<std::uint64_t, ConnPtr> workers_;
   std::map<std::uint64_t, ConnPtr> clients_;
-  /// Every connection ever accepted; joined in stop() (maps above only
+  /// Every connection whose thread the hub still has to join:
+  /// registered by the accept thread before its handshake starts,
+  /// reaped there once done, the rest joined in stop() (maps above only
   /// hold the live ones).
   std::vector<ConnPtr> all_conns_;
   std::map<std::uint64_t, JobEntry> jobs_;

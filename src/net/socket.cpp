@@ -243,11 +243,12 @@ StatusOr<Socket> Listener::accept() {
   }
 }
 
+void Listener::shutdown() {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+}
+
 void Listener::close() {
   if (fd_ >= 0) {
-    // shutdown() first so a blocked accept() returns instead of
-    // sleeping on a closed fd number that may be reused.
-    ::shutdown(fd_, SHUT_RDWR);
     ::close(fd_);
     fd_ = -1;
   }

@@ -86,11 +86,17 @@ class Listener {
   const std::string& address() const { return address_; }
   std::uint16_t port() const { return port_; }
 
-  /// Blocks for the next connection; kIoError once close()d.
+  /// Blocks for the next connection; kIoError once shut down.
   StatusOr<Socket> accept();
 
-  /// Stops listening and unblocks accept(). Unix listeners unlink
-  /// their path. Safe to call twice.
+  /// Stops listening and wakes a thread blocked in accept() without
+  /// releasing the fd, so it is safe to call while that thread runs.
+  /// Safe to call twice.
+  void shutdown();
+
+  /// Releases the fd; Unix listeners unlink their path. Must not race
+  /// accept(): shutdown() and join the accepting thread first. Safe to
+  /// call twice.
   void close();
 
  private:

@@ -543,8 +543,7 @@ Status ChipFarm::save_chip_chain(std::size_t index,
     // checkpoint; cap the chain with a fresh delta so the receiver
     // materialises the chip as it is *now*, not as of the cadence.
     core::SaveProfile current;
-    const Status saved =
-        worker.chip->save_profiled(current, worker.ckpt_profile);
+    const Status saved = worker.chip->save_profiled(current);
     if (saved.ok()) {
       try {
         out.push_back(worker.ckpt_keyframe);
@@ -584,18 +583,11 @@ void ChipFarm::quarantine_chip(Worker& worker, const char* why) {
   worker.consecutive_faults = 0;
   worker.stall_pending = 0;
   worker.resumed_from = 0;
-  // The chain dies with the chip: a replacement instance's dirty
-  // generations are not comparable with the retired one's, so the next
-  // checkpoint must re-anchor on a fresh keyframe.
-  worker.ckpt_profile = core::SaveProfile{};
-  worker.ckpt_keyframe.clear();
-  worker.ckpt_deltas.clear();
-  if (config_.checkpoint_every_batches > 0 &&
-      !worker.last_checkpoint.empty()) {
+  if (worker.ckpt_profile.valid()) {
     // Resume the replacement from the slot's last known-good state
     // instead of blank silicon: quarantined defects, region layout and
     // accumulated AP state all carry over from the checkpoint.
-    const Status restored = worker.chip->restore(worker.last_checkpoint);
+    const Status restored = worker.chip->restore(worker.ckpt_profile.flat);
     if (restored.ok()) {
       worker.resumed_from = worker.last_checkpoint_tick;
       {
@@ -617,6 +609,11 @@ void ChipFarm::quarantine_chip(Worker& worker, const char* why) {
                   now());
     }
   }
+  // The chain dies with the chip: the next checkpoint re-anchors on a
+  // fresh keyframe. The profile stays, so a second quarantine before
+  // that checkpoint restores from the same state again.
+  worker.ckpt_keyframe.clear();
+  worker.ckpt_deltas.clear();
   {
     std::lock_guard<std::mutex> lock(metrics_mutex_);
     ++worker.metrics.quarantined_chips;
@@ -707,55 +704,43 @@ void ChipFarm::maybe_checkpoint(Worker& worker) {
   // Bytes this checkpoint actually costs: the delta container on the
   // incremental path, the full snapshot otherwise.
   std::size_t emitted_bytes = 0;
-  if (config_.incremental_checkpoints) {
-    // A chain needs a keyframe to anchor it, is bounded by
-    // checkpoint_keyframe_every, and breaks at quarantine (the cleared
-    // profile). checkpoint_chain_max_links additionally caps the total
-    // chain length (keyframe + deltas): extending must not push the
-    // link count past the cap. Anything else: start fresh with a
-    // keyframe.
-    const bool extend_chain =
-        worker.ckpt_profile.valid() && !worker.ckpt_keyframe.empty() &&
-        worker.ckpt_deltas.size() < config_.checkpoint_keyframe_every &&
-        (config_.checkpoint_chain_max_links == 0 ||
-         worker.ckpt_deltas.size() + 2 <= config_.checkpoint_chain_max_links);
-    try {
-      if (extend_chain) {
-        core::SaveProfile base = std::move(worker.ckpt_profile);
-        saved = worker.chip->save_profiled(worker.ckpt_profile, base);
-        if (saved.ok()) {
-          worker.ckpt_deltas.push_back(snapshot::encode_delta(
-              base.flat, base.index, worker.ckpt_profile.flat,
-              worker.ckpt_profile.index));
-          emitted_bytes = worker.ckpt_deltas.back().size();
-        }
-      } else {
-        saved = worker.chip->save_profiled(worker.ckpt_profile);
-        if (saved.ok()) {
+  // An incremental chain needs a keyframe to anchor it, is bounded by
+  // checkpoint_keyframe_every, and breaks at quarantine (the cleared
+  // keyframe). Anything else starts a fresh chain with a keyframe.
+  const bool extend_chain =
+      config_.incremental_checkpoints && worker.ckpt_profile.valid() &&
+      !worker.ckpt_keyframe.empty() &&
+      worker.ckpt_deltas.size() < config_.checkpoint_keyframe_every;
+  try {
+    if (extend_chain) {
+      core::SaveProfile base = std::move(worker.ckpt_profile);
+      saved = worker.chip->save_profiled(worker.ckpt_profile);
+      if (saved.ok()) {
+        worker.ckpt_deltas.push_back(snapshot::encode_delta(
+            base.flat, base.index, worker.ckpt_profile.flat,
+            worker.ckpt_profile.index));
+        emitted_bytes = worker.ckpt_deltas.back().size();
+      }
+    } else {
+      // Saved in place: the Writer reuses the previous snapshot's buffer.
+      saved = worker.chip->save_profiled(worker.ckpt_profile);
+      if (saved.ok()) {
+        emitted_bytes = worker.ckpt_profile.flat.size();
+        if (config_.incremental_checkpoints) {
           worker.ckpt_keyframe = worker.ckpt_profile.flat;
           worker.ckpt_deltas.clear();
-          emitted_bytes = worker.ckpt_keyframe.size();
         }
       }
-    } catch (const std::exception& e) {
-      saved = Status(StatusCode::kCorruptSnapshot, e.what());
     }
-    // The quarantine-restore path keeps reading a flat snapshot, so a
-    // corrupted chain can never take the slot's recovery down with it.
-    if (saved.ok()) {
-      worker.last_checkpoint = worker.ckpt_profile.flat;
-    }
-  } else {
-    saved = worker.chip->save(worker.last_checkpoint);
-    emitted_bytes = worker.last_checkpoint.size();
+  } catch (const std::exception& e) {
+    saved = Status(StatusCode::kCorruptSnapshot, e.what());
   }
   const auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
                           std::chrono::steady_clock::now() - t0)
                           .count();
   if (!saved.ok()) {
-    // A failed save must not leave a half-written checkpoint for the
+    // A failed save must not leave a stale checkpoint for the
     // quarantine path to restore, nor a broken link in the chain.
-    worker.last_checkpoint.clear();
     worker.ckpt_profile = core::SaveProfile{};
     worker.ckpt_keyframe.clear();
     worker.ckpt_deltas.clear();
@@ -774,7 +759,7 @@ void ChipFarm::maybe_checkpoint(Worker& worker) {
     ++worker.metrics.checkpoints;
     worker.metrics.checkpoint_bytes.add(static_cast<double>(emitted_bytes));
     worker.metrics.checkpoint_full_bytes.add(
-        static_cast<double>(worker.last_checkpoint.size()));
+        static_cast<double>(worker.ckpt_profile.flat.size()));
     worker.metrics.checkpoint_micros.add(static_cast<double>(micros));
   }
   trace_event(obs::Layer::kRuntime,

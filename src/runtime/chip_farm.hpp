@@ -142,24 +142,17 @@ struct FarmConfig {
   std::size_t checkpoint_every_batches = 0;
   /// Incremental checkpoints: after the first full keyframe, each
   /// checkpoint is encoded as a compressed delta container against the
-  /// previous one (snapshot/incremental.*). Layers whose dirty
-  /// generation is unchanged are spliced instead of re-serialised, and
-  /// the delta wire format carries only the bytes that differ — the
-  /// combination that makes checkpoint_every_batches=1 viable. The
-  /// quarantine-restore path is unaffected (the slot always keeps the
-  /// latest materialised flat snapshot too); the chain feeds
+  /// previous one (snapshot/incremental.*). The delta wire format
+  /// carries only the bytes of each tagged section that differ — what
+  /// makes checkpoint_every_batches=1 viable. Quarantine still
+  /// restores from the latest flat snapshot; the chain feeds
   /// save_chip_chain() for drain/migration shipping.
   bool incremental_checkpoints = false;
   /// With incremental_checkpoints: emit a fresh full keyframe after
-  /// this many consecutive deltas, bounding chain length (and thus
-  /// restore-side materialisation work and corruption blast radius).
+  /// this many consecutive deltas, bounding chain length (at most
+  /// N + 1 links, and thus restore-side materialisation work and
+  /// corruption blast radius).
   std::size_t checkpoint_keyframe_every = 16;
-  /// Chain GC cap: with incremental_checkpoints, force a fresh
-  /// keyframe whenever extending the chain would push its total link
-  /// count (keyframe + deltas) past this bound — a hard ceiling on
-  /// restore-side materialisation work that binds even when
-  /// checkpoint_keyframe_every is large. 0 = no cap.
-  std::size_t checkpoint_chain_max_links = 0;
   /// Template for each worker's chip.
   core::ChipConfig chip;
   /// Fault injection + self-healing (off by default).
@@ -324,18 +317,18 @@ class ChipFarm {
     std::uint64_t consecutive_faults = 0;
     std::uint64_t stall_pending = 0;
     bool crash_pending = false;
-    /// Checkpoint state (worker-thread private). last_checkpoint is the
-    /// most recent post-batch chip snapshot; empty until the first one.
-    snapshot::Snapshot last_checkpoint;
+    /// Checkpoint state (worker-thread private; read under
+    /// metrics_mutex_ by save_chip_chain on an idle farm). ckpt_profile
+    /// is the most recent post-batch chip snapshot with its section
+    /// index — the quarantine-restore source and the next delta's base;
+    /// empty until the first checkpoint. With incremental checkpoints,
+    /// the chain's keyframe and the delta containers since it follow;
+    /// quarantine clears those two, which starts a fresh chain, and
+    /// keeps ckpt_profile for any further restore before the next
+    /// checkpoint.
+    core::SaveProfile ckpt_profile;
     std::uint64_t last_checkpoint_tick = 0;
     std::size_t batches_since_checkpoint = 0;
-    /// Incremental-checkpoint chain state (worker-thread private, read
-    /// under metrics_mutex_ by save_chip_chain on an idle farm): the
-    /// profile of the previous checkpoint (diff base), the chain's
-    /// keyframe, and the delta containers since it. Cleared on
-    /// quarantine — a replacement chip's dirty generations are not
-    /// comparable with the retired chip's.
-    core::SaveProfile ckpt_profile;
     snapshot::Snapshot ckpt_keyframe;
     std::vector<snapshot::Snapshot> ckpt_deltas;
     /// Tick of the checkpoint the current chip was restored from

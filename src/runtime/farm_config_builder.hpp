@@ -136,15 +136,6 @@ class FarmConfigBuilder {
     return *this;
   }
 
-  /// Hard cap on total chain length (keyframe + deltas): a checkpoint
-  /// that would push the chain past `links` is forced to a fresh
-  /// keyframe instead. 0 = uncapped (keyframe cadence alone bounds the
-  /// chain).
-  FarmConfigBuilder& checkpoint_chain_max_links(std::size_t links) {
-    config_.checkpoint_chain_max_links = links;
-    return *this;
-  }
-
   /// Energy-aware scheduling: enables per-chip energy accounting (the
   /// chip template's EnergySpec is forced on) and the per-chip
   /// DvsGovernor, throttling toward `budget_fj_per_job` femtojoules
@@ -214,13 +205,6 @@ class FarmConfigBuilder {
       return Status(StatusCode::kInvalidArgument,
                     "checkpoint_keyframe_every must be >= 1 (every chain "
                     "needs a keyframe)");
-    }
-    if (config_.checkpoint_chain_max_links > 0 &&
-        !config_.incremental_checkpoints) {
-      return Status(StatusCode::kInvalidArgument,
-                    "checkpoint_chain_max_links without "
-                    "incremental_checkpoints is dead config — full "
-                    "snapshots have no chain to cap");
     }
     if (config_.dvs.p99_guardrail_ticks > 0 && !config_.dvs.enabled) {
       return Status(StatusCode::kInvalidArgument,

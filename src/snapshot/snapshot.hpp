@@ -96,16 +96,6 @@ class Writer {
     if (index_) index_->clear();
   }
 
-  /// Bytes written so far (= the offset the next write lands at).
-  std::size_t offset() const { return out_.size(); }
-
-  /// Appends pre-serialised bytes verbatim — the splice path for a
-  /// layer whose dirty generation proves it unchanged since the base
-  /// snapshot, so its bytes can be copied instead of re-serialised.
-  /// The caller is responsible for the bytes being a well-formed run of
-  /// sections (core::VlsiProcessor::save_profiled owns that contract).
-  void append_raw(const std::uint8_t* data, std::size_t n) { raw(data, n); }
-
   void u8(std::uint8_t v) { out_.push_back(v); }
   void b(bool v) { u8(v ? 1 : 0); }
   void u32(std::uint32_t v) { raw(&v, sizeof v); }

@@ -289,7 +289,12 @@ JobStream restore_stream(snapshot::Reader& r) {
   p.name = r.str();
   p.seed = r.u64();
   p.jobs = static_cast<std::size_t>(r.u64());
-  p.arrival = static_cast<ArrivalModel>(r.u8());
+  const std::uint8_t arrival = r.u8();
+  if (arrival > static_cast<std::uint8_t>(ArrivalModel::kDiurnal)) {
+    throw snapshot::SnapshotError("snapshot stream has unknown arrival "
+                                  "model " + std::to_string(arrival));
+  }
+  p.arrival = static_cast<ArrivalModel>(arrival);
   p.mean_gap = r.u64();
   p.mean_burst = static_cast<std::size_t>(r.u64());
   p.diurnal_period = static_cast<std::size_t>(r.u64());
@@ -302,7 +307,8 @@ JobStream restore_stream(snapshot::Reader& r) {
   p.deadline_allowance = r.u64();
   p.churn = r.f64();
   p.energy = r.b();
-  const std::uint64_t count = r.u64();
+  // Each job needs at least its arrival, deadline and kernel length.
+  const std::uint64_t count = r.count(24);
   stream.jobs.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
     TimedJob timed;

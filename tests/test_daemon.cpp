@@ -16,6 +16,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <filesystem>
+#include <future>
 #include <map>
 #include <string>
 #include <thread>
@@ -525,6 +528,90 @@ TEST(Daemon, HubRejectsThenSurvivesHostileClient) {
   EXPECT_NE(metrics->find("\"schema_version\""), std::string::npos);
   ASSERT_TRUE(client->shutdown_hub().ok());
   hub.wait();
+  hub.stop();
+}
+
+/// Runs `work` on its own thread and reports whether it finished within
+/// `limit`. On a miss, `unblock` runs before the join so a stalled
+/// `work` can still return and the test fails instead of hanging.
+template <typename Work, typename Unblock>
+bool finishes_within(std::chrono::seconds limit, Work work, Unblock unblock) {
+  std::promise<void> done;
+  auto finished = done.get_future();
+  std::thread runner([&] {
+    work();
+    done.set_value();
+  });
+  const bool in_time =
+      finished.wait_for(limit) == std::future_status::ready;
+  if (!in_time) unblock();
+  runner.join();
+  return in_time;
+}
+
+TEST(Daemon, SilentConnectionStallsNeitherAdmissionNorStop) {
+  daemon::Hub hub;
+  ASSERT_TRUE(hub.start().ok());
+  // A peer that connects and never sends Hello.
+  auto silent = net::Socket::connect(hub.address());
+  ASSERT_TRUE(silent.ok());
+
+  bool served = false;
+  EXPECT_TRUE(finishes_within(
+      std::chrono::seconds(5),
+      [&] {
+        auto client = net::HubClient::connect({hub.address(), "next"});
+        served = client.ok() && client->metrics_json().ok();
+      },
+      [&] { silent->close(); }));
+  EXPECT_TRUE(served);
+
+  EXPECT_TRUE(finishes_within(
+      std::chrono::seconds(5), [&] { hub.stop(); },
+      [&] { silent->close(); }));
+}
+
+/// Descriptors this process has open.
+std::size_t open_fds() {
+  std::size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+TEST(Daemon, RefusedHandshakesReleaseTheirConnections) {
+  daemon::Hub hub;
+  ASSERT_TRUE(hub.start().ok());
+  const std::size_t baseline = open_fds();
+
+  constexpr std::size_t kRefused = 16;
+  for (std::size_t i = 0; i < kRefused; ++i) {
+    auto sock = net::Socket::connect(hub.address());
+    ASSERT_TRUE(sock.ok());
+    const std::vector<std::uint8_t> garbage = {0xDE, 0xAD, 0xBE, 0xEF,
+                                               0x01, 0x00, 0x01, 0x00,
+                                               0x00, 0x00, 0x00, 0x00};
+    ASSERT_TRUE(sock->send_all(garbage.data(), garbage.size()).ok());
+    auto reply = net::read_frame(*sock);
+    ASSERT_TRUE(reply.ok());
+    EXPECT_EQ(reply->type, net::MsgType::kError);
+  }
+
+  // The hub reaps ended connections when it admits the next one; each
+  // probe session is itself reaped by the one after it.
+  std::size_t fds = open_fds();
+  for (int probe = 0; probe < 50 && fds > baseline + 2; ++probe) {
+    {
+      auto client = net::HubClient::connect({hub.address(), "probe"});
+      ASSERT_TRUE(client.ok()) << client.status().message();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    fds = open_fds();
+  }
+  EXPECT_LE(fds, baseline + 2) << "refused handshakes still hold descriptors";
   hub.stop();
 }
 

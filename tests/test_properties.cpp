@@ -683,8 +683,8 @@ INSTANTIATE_TEST_SUITE_P(Sweep100, CheckpointEquivalence,
 // continues exactly like the uninterrupted one, and plain flat (v1)
 // snapshots still round-trip untouched. 100 seeds in 10 shards; seed
 // % 3 == 0 runs fault-active (cluster quarantines through heal()),
-// odd seeds run a starved 2x2 chip where fuses fail and the dirty
-// generations sit still between boundaries.
+// odd seeds run a starved 2x2 chip where fuses fail and whole layers
+// sit still between boundaries.
 
 core::ChipConfig sweep_chip_config(std::uint64_t seed) {
   core::ChipConfig cfg;

@@ -638,6 +638,40 @@ TEST(FarmCheckpoint, QuarantineRestoresReplacementFromLastCheckpoint) {
   EXPECT_GE(resumed, 1u) << "no outcome recorded the restore point";
 }
 
+TEST(FarmCheckpoint, SecondQuarantineBeforeNextCheckpointRestoresAgain) {
+  // Two crashes inside one checkpoint interval: the second replacement
+  // must resume from the same checkpoint as the first, not from blank
+  // silicon. Quarantine breaks the delta chain but keeps the snapshot.
+  runtime::SyntheticSpec spec;
+  spec.jobs = 24;
+  spec.seed = 3;
+  const auto jobs = runtime::synthetic_jobs(spec);
+
+  fault::FaultPlan plan;
+  // Batches of 4, a checkpoint every third batch: the first lands after
+  // serve-sequence 12. The crashes hit the fourth and fifth batches,
+  // both before the second checkpoint.
+  plan.events = {{13, fault::FaultKind::kWorkerCrash, 0, 0},
+                 {17, fault::FaultKind::kWorkerCrash, 0, 0}};
+  for (const bool incremental : {false, true}) {
+    runtime::FarmConfigBuilder builder;
+    builder.deterministic().batch(4).fault_tolerance(plan).checkpoint_every(
+        3);
+    builder.incremental_checkpoints(incremental);
+    runtime::ChipFarm farm(builder.build());
+    for (const auto& job : jobs) {
+      EXPECT_TRUE(farm.submit(job).admitted);
+    }
+    farm.drain();
+    const auto metrics = farm.metrics();
+    farm.shutdown();
+
+    EXPECT_EQ(metrics.completed, 24u) << "incremental=" << incremental;
+    EXPECT_EQ(metrics.quarantined_chips, 2u) << "incremental=" << incremental;
+    EXPECT_EQ(metrics.chip_restores, 2u) << "incremental=" << incremental;
+  }
+}
+
 // --- incremental checkpoints ----------------------------------------------
 
 TEST(IncrementalCheckpoint, FlatSnapshotsStillStampVersionOne) {
@@ -665,9 +699,8 @@ TEST(IncrementalCheckpoint, SaveProfiledIsByteIdenticalToPlainSave) {
   EXPECT_EQ(profile.flat.bytes(), plain.bytes());
   EXPECT_FALSE(profile.index.entries.empty());
 
-  // Incremental against a base — with and without mutations in
-  // between — must still produce the exact full-save bytes; the splice
-  // optimisation is never allowed to be observable in the output.
+  // The two-argument overload ignores its base: with and without
+  // mutations in between it must produce the exact full-save bytes.
   core::SaveProfile unchanged;
   ASSERT_TRUE(chip.save_profiled(unchanged, profile).ok());
   EXPECT_EQ(unchanged.flat.bytes(), plain.bytes());
@@ -680,26 +713,6 @@ TEST(IncrementalCheckpoint, SaveProfiledIsByteIdenticalToPlainSave) {
   snapshot::Snapshot plain_after;
   ASSERT_TRUE(chip.save(plain_after).ok());
   EXPECT_EQ(after.flat.bytes(), plain_after.bytes());
-}
-
-TEST(IncrementalCheckpoint, DirtyGenerationsTrackMutation) {
-  core::VlsiProcessor chip(small_chip());
-  const auto fabric_gen = chip.fabric().dirty_gen();
-  const auto noc_gen = chip.noc().dirty_gen();
-  const auto mgr_gen = chip.manager().dirty_gen();
-
-  // A pure read leaves every generation alone.
-  (void)chip.total_clusters();
-  (void)chip.render_layout();
-  EXPECT_EQ(chip.noc().dirty_gen(), noc_gen);
-
-  // Fusing programs switches (fabric), sends the config worm (noc) and
-  // allocates (manager): all three layers must notice.
-  const auto proc = chip.fuse(2);
-  ASSERT_NE(proc, scaling::kNoProc);
-  EXPECT_GT(chip.fabric().dirty_gen(), fabric_gen);
-  EXPECT_GT(chip.noc().dirty_gen(), noc_gen);
-  EXPECT_GT(chip.manager().dirty_gen(), mgr_gen);
 }
 
 TEST(IncrementalCheckpoint, DeltaChainBeatsFullSnapshotsOnBytes) {

@@ -4,6 +4,8 @@
 // and the serve-vs-replay byte-identity guarantee of the pack report.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <map>
 #include <set>
 #include <string>
@@ -284,6 +286,36 @@ TEST(Runner, StreamCodecRoundTrips) {
     EXPECT_EQ(back.jobs[i].job.inputs.size(),
               stream.jobs[i].job.inputs.size());
   }
+
+  // Malformed bytes throw SnapshotError, never a bare std exception.
+  JobStream empty = stream;
+  empty.jobs.clear();
+  snapshot::Snapshot base;
+  snapshot::Writer wb(base);
+  save_stream(wb, empty);
+  const auto rejects = [](const snapshot::Snapshot& bad) {
+    snapshot::Reader rb(bad);
+    EXPECT_THROW(restore_stream(rb), snapshot::SnapshotError);
+  };
+  // The job count is the stream's last field: a huge count must not
+  // reach reserve() (2^62 used to throw length_error, 2^36 bad_alloc).
+  for (const std::uint64_t count : {std::uint64_t{1} << 62,
+                                    std::uint64_t{1} << 36}) {
+    snapshot::Snapshot bad = base;
+    std::memcpy(bad.bytes().data() + bad.size() - sizeof count, &count,
+                sizeof count);
+    rejects(bad);
+  }
+  // Header, section tag, name, seed and job count precede the arrival
+  // model byte.
+  const std::size_t arrival_at =
+      8 + (8 + std::string("workload.stream").size()) +
+      (8 + stream.pack.name.size()) + 8 + 8;
+  ASSERT_EQ(base.bytes()[arrival_at],
+            static_cast<std::uint8_t>(ArrivalModel::kDiurnal));
+  snapshot::Snapshot bad = base;
+  bad.bytes()[arrival_at] = 9;
+  rejects(bad);
 }
 
 TEST(Runner, ReportCarriesSchemaAndPerKernelSections) {

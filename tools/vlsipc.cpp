@@ -833,7 +833,7 @@ int cmd_serve(int argc, char** argv) {
       "usage: vlsipc serve <jobs.txt|pack-ref> [--pack] [--workers N] "
       "[--queue D] [--batch B] [--reject] [--deterministic] "
       "[--checkpoint-every-batches N] [--incremental-checkpoints] "
-      "[--keyframe-every N] [--chain-max-links N] [--verify-chain] "
+      "[--keyframe-every N] [--verify-chain] "
       "[--dvs] [--energy-budget FJ] [--p99-guardrail TICKS] "
       "[--json] [--obs out.json] [--chrome-trace out.trace]");
   opts.value("--workers", &cfg.workers)
@@ -844,7 +844,6 @@ int cmd_serve(int argc, char** argv) {
       .value("--checkpoint-every-batches", &cfg.checkpoint_every_batches)
       .flag("--incremental-checkpoints", &cfg.incremental_checkpoints)
       .value("--keyframe-every", &cfg.checkpoint_keyframe_every)
-      .value("--chain-max-links", &cfg.checkpoint_chain_max_links)
       .flag("--dvs", &cfg.dvs.enabled)
       .value("--energy-budget", &energy_budget)
       .value("--p99-guardrail", &cfg.dvs.p99_guardrail_ticks)
@@ -1265,7 +1264,6 @@ int cmd_worker(int argc, char** argv) {
   std::size_t queue_capacity = 64;
   std::size_t ckpt_batches = kUnset;
   std::size_t keyframe_every = kUnset;
-  std::size_t chain_max_links = kUnset;
   std::uint64_t energy_budget = 0;
   std::uint64_t p99_guardrail = 0;
   bool dvs = false;
@@ -1275,7 +1273,7 @@ int cmd_worker(int argc, char** argv) {
       "usage: vlsipc worker --hub ADDR [--name S] [--workers N] "
       "[--batch B] [--queue D] [--checkpoint-every-batches N] "
       "[--incremental-checkpoints] [--keyframe-every N] "
-      "[--chain-max-links N] [--dvs] [--energy-budget FJ] "
+      "[--dvs] [--energy-budget FJ] "
       "[--p99-guardrail TICKS] [--heartbeat MS] [--crash-after N]");
   opts.value("--hub", &worker_opts.hub)
       .value("--name", &worker_opts.name)
@@ -1285,7 +1283,6 @@ int cmd_worker(int argc, char** argv) {
       .value("--checkpoint-every-batches", &ckpt_batches)
       .flag("--incremental-checkpoints", &incremental)
       .value("--keyframe-every", &keyframe_every)
-      .value("--chain-max-links", &chain_max_links)
       .flag("--dvs", &dvs)
       .value("--energy-budget", &energy_budget)
       .value("--p99-guardrail", &p99_guardrail)
@@ -1298,9 +1295,6 @@ int cmd_worker(int argc, char** argv) {
   if (ckpt_batches != kUnset) farm.checkpoint_every_batches(ckpt_batches);
   if (incremental) farm.incremental_checkpoints(true);
   if (keyframe_every != kUnset) farm.checkpoint_keyframe_every(keyframe_every);
-  if (chain_max_links != kUnset) {
-    farm.checkpoint_chain_max_links(chain_max_links);
-  }
   if (dvs) farm.raw().dvs.enabled = true;
   if (energy_budget > 0) farm.energy_budget(energy_budget);
   if (p99_guardrail > 0) farm.p99_guardrail(p99_guardrail);
