@@ -42,7 +42,6 @@ void ObjectSpace::insert_top(arch::ObjectId id) {
   if (id >= index_.size()) index_.resize(std::size_t{id} + 1, kAbsent);
   stack_.insert(stack_.begin(), id);
   reindex(0, stack_.size());
-  ++version_;
 }
 
 arch::ObjectId ObjectSpace::evict_bottom() {
@@ -50,7 +49,6 @@ arch::ObjectId ObjectSpace::evict_bottom() {
   const arch::ObjectId id = stack_.back();
   stack_.pop_back();
   index_[id] = kAbsent;
-  ++version_;
   return id;
 }
 
@@ -60,7 +58,6 @@ void ObjectSpace::remove(arch::ObjectId id) {
   stack_.erase(stack_.begin() + *pos);
   index_[id] = kAbsent;
   reindex(static_cast<std::size_t>(*pos), stack_.size());
-  ++version_;
 }
 
 int ObjectSpace::promote(arch::ObjectId id) {
@@ -71,7 +68,6 @@ int ObjectSpace::promote(arch::ObjectId id) {
   const auto end = static_cast<std::size_t>(*pos) + 1;
   std::rotate(stack_.begin(), stack_.begin() + *pos, stack_.begin() + end);
   reindex(0, end);
-  ++version_;
   return *pos;
 }
 
@@ -98,20 +94,16 @@ void ObjectSpace::save(snapshot::Writer& w) const {
   w.section("ap.object_space");
   w.i32(capacity_);
   w.vec_u32(stack_);
-  w.u64(version_);
 }
 
 void ObjectSpace::restore(snapshot::Reader& r) {
   r.section("ap.object_space");
   const int capacity = r.i32();
-  std::vector<arch::ObjectId> stack = r.vec_u32();
-  const std::uint64_t version = r.u64();
-  restore_stack(capacity, std::move(stack), version);
+  restore_stack(capacity, r.vec_u32());
 }
 
 void ObjectSpace::restore_stack(int capacity,
-                                std::vector<arch::ObjectId> stack,
-                                std::uint64_t version) {
+                                std::vector<arch::ObjectId> stack) {
   if (capacity < 1 || stack.size() > static_cast<std::size_t>(capacity)) {
     throw snapshot::SnapshotError("snapshot object stack exceeds capacity");
   }
@@ -130,7 +122,6 @@ void ObjectSpace::restore_stack(int capacity,
   capacity_ = capacity;
   stack_ = std::move(stack);
   index_ = std::move(index);
-  version_ = version;
 }
 
 }  // namespace vlsip::ap

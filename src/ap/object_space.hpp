@@ -79,12 +79,6 @@ class ObjectSpace {
   /// Stack order, top first.
   const std::vector<arch::ObjectId>& stack() const { return stack_; }
 
-  /// Placement generation: bumped by every mutation that changes which
-  /// object sits at which position (insert, evict, remove, promote that
-  /// actually moves). Consumers (ChainSet::refresh) skip re-resolution
-  /// while the version is unchanged.
-  std::uint64_t version() const { return version_; }
-
   std::string render() const;
 
   /// Checkpoint codec. restore() overwrites capacity (it shrinks at
@@ -97,8 +91,7 @@ class ObjectSpace {
   /// stack. A capacity below 1, a stack larger than its capacity, a
   /// repeated id or an id at or above arch::kObjectIdLimit throws
   /// snapshot::SnapshotError and leaves *this unchanged.
-  void restore_stack(int capacity, std::vector<arch::ObjectId> stack,
-                     std::uint64_t version);
+  void restore_stack(int capacity, std::vector<arch::ObjectId> stack);
 
  private:
   static constexpr int kAbsent = -1;
@@ -112,7 +105,6 @@ class ObjectSpace {
   /// dense per program, so a flat array indexed by id replaces a hash
   /// map; it grows to the largest id ever inserted.
   std::vector<int> index_;
-  std::uint64_t version_ = 0;
 };
 
 }  // namespace vlsip::ap

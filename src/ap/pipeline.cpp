@@ -13,53 +13,43 @@ ChainSet::ChainSet(csd::DynamicCsdNetwork& network, const ObjectSpace& space)
 void ChainSet::add(arch::ObjectId source, arch::ObjectId sink, int operand) {
   VLSIP_REQUIRE(source != sink, "self-chains are meaningless");
   chains_.push_back(Chain{source, sink, operand, csd::kNoRoute});
-  chains_dirty_ = true;
+}
+
+void ChainSet::drop_route(Chain& c) {
+  if (network_.routes()[c.route].id == c.route) network_.release(c.route);
+  c.route = csd::kNoRoute;
 }
 
 void ChainSet::remove_for(arch::ObjectId id) {
   for (auto& c : chains_) {
-    if ((c.source == id || c.sink == id) && c.routed()) {
-      network_.release(c.route);
-      c.route = csd::kNoRoute;
-    }
+    if ((c.source == id || c.sink == id) && c.routed()) drop_route(c);
   }
   std::erase_if(chains_,
                 [id](const Chain& c) { return c.source == id || c.sink == id; });
-  chains_dirty_ = true;
 }
 
 void ChainSet::clear() {
   for (auto& c : chains_) {
-    if (c.routed()) network_.release(c.route);
+    if (c.routed()) drop_route(c);
   }
   chains_.clear();
-  chains_dirty_ = true;
 }
 
 std::size_t ChainSet::refresh() {
-  // Nothing moved, no claims changed, no chains added or dropped: the
-  // pass would release nothing and re-attempt exactly the failures of
-  // last time. Return the cached count without touching the network.
-  if (!chains_dirty_ && seen_space_version_ == space_.version() &&
-      seen_net_version_ == network_.version()) {
-    return last_failures_;
-  }
   ++rebuilds_;
-  // Pass 1: release routes that are stale (endpoint moved or swapped
-  // out) so their channels are available for pass 2.
+  // Pass 1: release routes that are stale (endpoint moved, swapped out,
+  // or dropped by a killed segment) so their channels are available for
+  // pass 2.
   for (auto& c : chains_) {
     if (!c.routed()) continue;
     const auto src_pos = space_.find(c.source);
     const auto dst_pos = space_.find(c.sink);
     const auto& route = network_.routes()[c.route];
     const bool stale =
-        !src_pos || !dst_pos ||
+        route.id != c.route || !src_pos || !dst_pos ||
         route.source != static_cast<csd::Position>(*src_pos) ||
         route.sink != static_cast<csd::Position>(*dst_pos);
-    if (stale) {
-      network_.release(c.route);
-      c.route = csd::kNoRoute;
-    }
+    if (stale) drop_route(c);
   }
   // Pass 2: route every resident, unrouted chain.
   std::size_t failures = 0;
@@ -78,12 +68,6 @@ std::size_t ChainSet::refresh() {
       ++failures;
     }
   }
-  // Snapshot versions *after* the pass: releases/establishes above are
-  // our own mutations, not new external state.
-  chains_dirty_ = false;
-  seen_space_version_ = space_.version();
-  seen_net_version_ = network_.version();
-  last_failures_ = failures;
   return failures;
 }
 
@@ -303,10 +287,6 @@ void ChainSet::save(snapshot::Writer& w) const {
     w.u32(c.route);
   }
   w.u64(rebuilds_);
-  w.b(chains_dirty_);
-  w.u64(seen_space_version_);
-  w.u64(seen_net_version_);
-  w.u64(last_failures_);
 }
 
 void ChainSet::restore(snapshot::Reader& r) {
@@ -314,19 +294,27 @@ void ChainSet::restore(snapshot::Reader& r) {
   chains_.clear();
   const std::uint64_t n = r.count(16);
   chains_.reserve(static_cast<std::size_t>(n));
+  // A routed chain names a network route slot no other chain holds. The
+  // slot may be free: kill_segment can drop a route under its chain,
+  // and the next refresh() re-requests it.
+  const std::size_t slots = network_.routes().size();
+  std::vector<bool> held(slots, false);
   for (std::uint64_t i = 0; i < n; ++i) {
     Chain c;
     c.source = r.u32();
     c.sink = r.u32();
     c.operand = r.i32();
     c.route = r.u32();
+    if (c.routed()) {
+      if (c.route >= slots || held[c.route]) {
+        throw snapshot::SnapshotError(
+            "snapshot chain route is out of range or shared");
+      }
+      held[c.route] = true;
+    }
     chains_.push_back(c);
   }
-  rebuilds_ = r.u64();
-  chains_dirty_ = r.b();
-  seen_space_version_ = r.u64();
-  seen_net_version_ = r.u64();
-  last_failures_ = static_cast<std::size_t>(r.u64());
+  rebuilds_ = static_cast<std::size_t>(r.u64());
 }
 
 void save_config_stats(snapshot::Writer& w, const ConfigStats& stats) {

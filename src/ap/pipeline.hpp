@@ -69,36 +69,31 @@ class ChainSet {
   /// endpoint swapped out) hold no route. Returns the number of resident
   /// chains that could not be routed (channel exhaustion — the
   /// routability trade-off of §2.6.2).
-  ///
-  /// Incremental: when neither the object placement, the network claim
-  /// state, nor the chain list changed since the previous refresh, the
-  /// pass is skipped entirely (re-running it would be a deterministic
-  /// no-op) and the cached failure count is returned. Version counters
-  /// on ObjectSpace and DynamicCsdNetwork detect the changes.
   std::size_t refresh();
 
   std::size_t size() const { return chains_.size(); }
   std::size_t routed() const;
   std::size_t unrouted_resident() const;
   const std::vector<Chain>& chains() const { return chains_; }
-  /// Refresh passes that actually ran (skipped no-op passes excluded).
+  /// Refresh passes run so far.
   std::size_t rebuilds() const { return rebuilds_; }
 
   /// Checkpoint codec. The network/space references are not serialized;
-  /// restore() assumes they were restored first and rebinds nothing.
+  /// restore() assumes they were restored first and rebinds nothing. A
+  /// route that is neither kNoRoute nor a network route slot, or that
+  /// another chain already holds, throws snapshot::SnapshotError.
   void save(snapshot::Writer& w) const;
   void restore(snapshot::Reader& r);
 
  private:
+  /// Unroutes `c`, releasing its route if the network still holds it
+  /// (DynamicCsdNetwork::kill_segment may have dropped it).
+  void drop_route(Chain& c);
+
   csd::DynamicCsdNetwork& network_;
   const ObjectSpace& space_;
   std::vector<Chain> chains_;
   std::size_t rebuilds_ = 0;
-  // Memoization of the last completed refresh.
-  bool chains_dirty_ = true;
-  std::uint64_t seen_space_version_ = 0;
-  std::uint64_t seen_net_version_ = 0;
-  std::size_t last_failures_ = 0;
 };
 
 struct PipelineConfig {

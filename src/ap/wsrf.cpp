@@ -55,8 +55,6 @@ void Wsrf::save(snapshot::Writer& w) const {
   w.u64(order_.stack().size());
   for (auto it = order_.stack().rbegin(); it != order_.stack().rend(); ++it) {
     w.u32(*it);
-    w.b(false);  // channel slot
-    w.u32(0);
     w.b(active(*it));
   }
   w.u64(retirements_);
@@ -69,18 +67,16 @@ void Wsrf::restore(snapshot::Reader& r) {
     throw snapshot::SnapshotError(
         "snapshot WSRF capacity differs from this WSRF's");
   }
-  const std::uint64_t n = r.count(10);
+  const std::uint64_t n = r.count(5);
   std::vector<arch::ObjectId> stack(n);  // top (youngest) first
   std::vector<arch::ObjectId> pinned;
   for (std::uint64_t i = 0; i < n; ++i) {
     const arch::ObjectId id = r.u32();
-    r.b();  // channel slot: not recorded
-    r.u32();
     if (r.b()) pinned.push_back(id);
     stack[n - 1 - i] = id;
   }
   const std::uint64_t retirements = r.u64();
-  order_.restore_stack(capacity, std::move(stack), 0);
+  order_.restore_stack(capacity, std::move(stack));
   active_.assign(active_.size(), false);
   for (const arch::ObjectId id : pinned) set_active(id, true);
   retirements_ = retirements;

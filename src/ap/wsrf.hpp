@@ -62,11 +62,10 @@ class Wsrf {
 
   std::size_t retirements() const { return retirements_; }
 
-  /// Checkpoint codec: entries oldest first, so the restored stack
-  /// reproduces retirement order exactly. Each entry keeps the section's
-  /// channel slot, written as absent, so checkpoint bytes stay stable.
-  /// restore() checks the stack with ObjectSpace::restore_stack and also
-  /// rejects a capacity other than this WSRF's (snapshot::SnapshotError).
+  /// Checkpoint codec: entries (id, pinned) oldest first, so the
+  /// restored stack reproduces retirement order exactly. restore()
+  /// checks the stack with ObjectSpace::restore_stack and also rejects a
+  /// capacity other than this WSRF's (snapshot::SnapshotError).
   void save(snapshot::Writer& w) const;
   void restore(snapshot::Reader& r);
 

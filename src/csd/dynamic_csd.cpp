@@ -76,7 +76,6 @@ void DynamicCsdNetwork::claim(ChannelId c, Position lo, Position hi) {
                 [this](std::size_t w, std::uint64_t m) { blocked_[w] |= m; });
   claimed_per_channel_[c] += hi - lo;
   claimed_total_ += hi - lo;
-  ++version_;
 }
 
 void DynamicCsdNetwork::unclaim(ChannelId c, Position lo, Position hi) {
@@ -86,7 +85,6 @@ void DynamicCsdNetwork::unclaim(ChannelId c, Position lo, Position hi) {
                 });
   claimed_per_channel_[c] -= hi - lo;
   claimed_total_ -= hi - lo;
-  ++version_;
 }
 
 std::optional<ChannelId> DynamicCsdNetwork::try_route(Position source,
@@ -219,7 +217,6 @@ void DynamicCsdNetwork::shift_down_one() {
   blocked_ = dead_;
   std::fill(claimed_per_channel_.begin(), claimed_per_channel_.end(), 0u);
   claimed_total_ = 0;
-  ++version_;
   for (RouteId id = 0; id < routes_.size(); ++id) {
     Route& r = routes_[id];
     if (r.id == kNoRoute) continue;
@@ -290,7 +287,6 @@ SegmentKillResult DynamicCsdNetwork::kill_segment(ChannelId channel,
     release(victim);
     set_bit(dead_, idx);
     set_bit(blocked_, idx);
-    ++version_;
     result.affected = 1;
     if (establish(torn.source, torn.sink).has_value()) {
       ++result.rerouted;
@@ -300,7 +296,6 @@ SegmentKillResult DynamicCsdNetwork::kill_segment(ChannelId channel,
   } else {
     set_bit(dead_, idx);
     set_bit(blocked_, idx);
-    ++version_;
   }
   ++segments_killed_;
   kill_reroutes_ += result.rerouted;
@@ -421,7 +416,6 @@ void DynamicCsdNetwork::save(snapshot::Writer& w) const {
   w.u64(segments_killed_);
   w.u64(kill_reroutes_);
   w.u64(kill_drops_);
-  w.u64(version_);
 }
 
 void DynamicCsdNetwork::restore(snapshot::Reader& r) {
@@ -492,7 +486,6 @@ void DynamicCsdNetwork::restore(snapshot::Reader& r) {
   segments_killed_ = r.u64();
   kill_reroutes_ = r.u64();
   kill_drops_ = r.u64();
-  version_ = r.u64();  // after claim() calls, which bump it
 }
 
 }  // namespace vlsip::csd

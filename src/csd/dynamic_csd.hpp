@@ -160,11 +160,6 @@ class DynamicCsdNetwork {
   /// True if `channel` has no claim on any segment in [lo, hi).
   bool span_free(ChannelId channel, Position lo, Position hi) const;
 
-  /// Claim-state generation: bumped by every mutation of segment state
-  /// (establish/release/shift/kill). ChainSet::refresh uses it together
-  /// with ObjectSpace::version to skip no-op re-resolutions.
-  std::uint64_t version() const { return version_; }
-
   // --- observability ----------------------------------------------------
 
   /// Lifetime handshake accounting: every priority-encoder resolution is
@@ -234,7 +229,6 @@ class DynamicCsdNetwork {
   std::size_t active_routes_ = 0;
   obs::TraceSink* trace_;
   std::uint64_t now_ = 0;  // advanced by handshake latencies for tracing
-  std::uint64_t version_ = 0;
   // Lifetime handshake counters (see route_requests()).
   std::uint64_t requests_ = 0;
   std::uint64_t grants_ = 0;

@@ -1,5 +1,6 @@
 #include "daemon/worker.hpp"
 
+#include <exception>
 #include <utility>
 #include <vector>
 
@@ -194,10 +195,11 @@ bool WorkerDaemon::handle_resume(net::CheckpointMsg checkpoint) {
     outcomes =
         runtime::replay_from(chip, checkpoint.chip, checkpoint.log,
                              replay_options);
-  } catch (const snapshot::SnapshotError&) {
-    // Corrupt blob or geometry mismatch: the checkpointed chip state is
-    // unusable, but the jobs themselves are intact — serve them as
-    // ordinary assignments so nothing is lost.
+  } catch (const std::exception&) {
+    // Corrupt blob or any geometry mismatch (replay_from restores
+    // through the Status API and reports both as SnapshotError): the
+    // checkpointed chip state is unusable, but the jobs themselves are
+    // intact — serve them as ordinary assignments so nothing is lost.
     {
       std::lock_guard<std::mutex> lock(mu_);
       for (std::size_t i = checkpoint.log.next_job;

@@ -10,7 +10,7 @@
 //
 //   offset  size  field
 //   0       4     frame magic "VFRM" (little-endian u32)
-//   4       2     protocol version (u16), currently 1
+//   4       2     protocol version (u16), currently 3
 //   6       2     message type (u16, net::MsgType)
 //   8       4     payload length N (u32)
 //   12      N     payload (snapshot byte stream)
@@ -41,7 +41,10 @@ inline constexpr std::uint32_t kFrameMagic = 0x5646524Du;
 /// Current wire-protocol version. Bump on any layout change.
 /// v2: CheckpointMsg carries an incremental checkpoint chain field
 /// (keyframe + delta containers) alongside the flat chip snapshot.
-inline constexpr std::uint16_t kProtoVersion = 2;
+/// v3: every payload is a flat version-3 snapshot stream
+/// (snapshot::kVersionFlat); a Reader refuses the older layouts, so a
+/// payload from a v2 peer no longer decodes.
+inline constexpr std::uint16_t kProtoVersion = 3;
 /// Header bytes before the payload.
 inline constexpr std::size_t kFrameHeaderSize = 12;
 /// Default payload ceiling (checkpoint transfers dominate sizing; a

@@ -211,7 +211,6 @@ void Router::save(snapshot::Writer& w) const {
   for (const auto& flit : rings_) save_flit(w, flit);
   for (const auto h : head_) w.u32(h);
   for (const auto l : len_) w.u32(l);
-  w.u64(total_queued_);
   for (const auto o : owner_) w.i32(o);
   for (const auto p : rr_) w.i32(p);
 }
@@ -221,11 +220,26 @@ void Router::restore(snapshot::Reader& r) {
   const std::uint64_t n = r.u64();
   VLSIP_REQUIRE(n == rings_.size(), "snapshot router ring arena mismatch");
   for (auto& flit : rings_) flit = restore_flit(r);
-  for (auto& h : head_) h = static_cast<std::uint16_t>(r.u32());
-  for (auto& l : len_) l = static_cast<std::uint16_t>(r.u32());
-  total_queued_ = static_cast<std::size_t>(r.u64());
-  for (auto& o : owner_) o = static_cast<std::int8_t>(r.i32());
-  for (auto& p : rr_) p = r.i32();
+  // Reads one field and rejects it outside [lo, hi): each cursor stays
+  // on its ring, only the first kPortCount * vcs queues may hold flits,
+  // and every lock and round-robin pointer names a queue.
+  const auto field = [&r](int lo, int hi) {
+    const std::int32_t v = r.i32();
+    if (v < lo || v >= hi) {
+      throw snapshot::SnapshotError("snapshot router queue state is malformed");
+    }
+    return v;
+  };
+  const int depth = config_.queue_depth;
+  const int queues = kPortCount * config_.virtual_channels;
+  for (auto& h : head_) h = static_cast<std::uint16_t>(field(0, depth));
+  total_queued_ = 0;
+  for (int q = 0; q < kPortCount * kMaxVcs; ++q) {
+    len_[q] = static_cast<std::uint16_t>(field(0, q < queues ? depth + 1 : 1));
+    total_queued_ += len_[q];
+  }
+  for (auto& o : owner_) o = static_cast<std::int8_t>(field(-1, queues));
+  for (auto& p : rr_) p = field(0, queues);
 }
 
 }  // namespace vlsip::noc

@@ -138,7 +138,10 @@ class Router {
 
   /// Checkpoint codec: ring arena verbatim (stale slots included —
   /// reproducible machine state), queue cursors, wormhole locks and
-  /// round-robin pointers.
+  /// round-robin pointers. restore() recomputes total_queued() from the
+  /// queue lengths and throws snapshot::SnapshotError on a cursor off its
+  /// ring, a queue longer than its depth, a non-empty queue past
+  /// kPortCount * vcs(), or a lock or round-robin pointer naming no queue.
   void save(snapshot::Writer& w) const;
   void restore(snapshot::Reader& r);
 

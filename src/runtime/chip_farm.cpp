@@ -512,22 +512,6 @@ Status ChipFarm::save_chip(std::size_t index, snapshot::Snapshot& out) const {
   return workers_[index]->chip->save(out);
 }
 
-Status ChipFarm::restore_chip(std::size_t index, const snapshot::Snapshot& snap,
-                              std::uint64_t resumed_from_tick) {
-  if (index >= workers_.size()) {
-    return Status(StatusCode::kInvalidArgument,
-                  "no worker slot " + std::to_string(index));
-  }
-  Worker& worker = *workers_[index];
-  std::lock_guard<std::mutex> lock(metrics_mutex_);
-  const Status restored = worker.chip->restore(snap);
-  if (restored.ok()) {
-    worker.resumed_from = resumed_from_tick;
-    ++worker.metrics.chip_restores;
-  }
-  return restored;
-}
-
 Status ChipFarm::save_chip_chain(std::size_t index,
                                  std::vector<snapshot::Snapshot>& out) const {
   if (index >= workers_.size()) {

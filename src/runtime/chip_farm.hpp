@@ -279,13 +279,6 @@ class ChipFarm {
   /// kInvalidArgument on a bad index.
   Status save_chip(std::size_t index, snapshot::Snapshot& out) const;
 
-  /// Restores a shipped checkpoint into worker `index`'s chip (same
-  /// geometry required); subsequent outcomes served on it carry
-  /// resumed_from_cycle = `resumed_from_tick`. kInvalidArgument on a
-  /// bad index, kCorruptSnapshot on bad bytes or geometry mismatch.
-  Status restore_chip(std::size_t index, const snapshot::Snapshot& snap,
-                      std::uint64_t resumed_from_tick);
-
   /// Incremental form of save_chip: returns worker `index`'s checkpoint
   /// chain — a full keyframe followed by delta containers, ending with
   /// a freshly computed delta capturing state since the last cadence

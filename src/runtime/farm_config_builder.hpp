@@ -115,14 +115,6 @@ class FarmConfigBuilder {
     return *this;
   }
 
-  /// Passthrough under the FarmConfig field's exact name, so callers
-  /// mapping external config (the vlsipd worker daemon's
-  /// --checkpoint-every-batches flag) onto the builder don't need a
-  /// spelling table. Identical to checkpoint_every().
-  FarmConfigBuilder& checkpoint_every_batches(std::size_t batches) {
-    return checkpoint_every(batches);
-  }
-
   /// Incremental checkpoints: deltas against the previous checkpoint
   /// instead of a full snapshot each time (FarmConfig field docs).
   FarmConfigBuilder& incremental_checkpoints(bool on) {
@@ -144,12 +136,6 @@ class FarmConfigBuilder {
     config_.dvs.enabled = true;
     config_.dvs.energy_budget_fj_per_job = budget_fj_per_job;
     return *this;
-  }
-
-  /// Alias for dvs() under the config field's exact name, for callers
-  /// mapping external flags (vlsipc's --energy-budget).
-  FarmConfigBuilder& energy_budget(std::uint64_t budget_fj_per_job) {
-    return dvs(budget_fj_per_job);
   }
 
   /// Step the DVS ladder back up when farm p99 latency exceeds this

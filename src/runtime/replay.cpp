@@ -119,18 +119,23 @@ void ReplayLog::restore(snapshot::Reader& r) {
 std::vector<scaling::JobOutcome> replay_from(
     core::VlsiProcessor& chip, const snapshot::Snapshot& checkpoint,
     const ReplayLog& log, const ReplayOptions& options) {
-  {
-    snapshot::Reader r(checkpoint);
-    chip.restore(r);
-  }
+  const Status restored = chip.restore(checkpoint);
+  if (!restored.ok()) throw snapshot::SnapshotError(restored.to_string());
   scaling::RunJobOptions run_options;
   run_options.compact_on_fragmentation = options.compact_on_fragmentation;
   run_options.default_max_cycles = options.default_max_cycles;
   std::vector<scaling::JobOutcome> outcomes;
   outcomes.reserve(log.jobs.size() - log.next_job);
   for (std::size_t i = log.next_job; i < log.jobs.size(); ++i) {
-    scaling::JobOutcome outcome =
-        scaling::run_job(chip.manager(), log.jobs[i], run_options);
+    scaling::JobOutcome outcome;
+    try {
+      outcome = scaling::run_job(chip.manager(), log.jobs[i], run_options);
+    } catch (const std::exception& e) {
+      // One bad job fails alone, as in ChipFarm::serve_batch.
+      outcome.name = log.jobs[i].name;
+      outcome.status = scaling::JobStatus::kError;
+      outcome.detail = e.what();
+    }
     outcome.resumed_from_cycle = log.checkpoint_tick;
     outcomes.push_back(std::move(outcome));
   }

@@ -5,10 +5,12 @@
 // job stream (program, inputs, placement, budgets) plus the index of
 // the first job not yet served when the checkpoint was taken; the pair
 // (chip snapshot, replay log) is a complete resumable session. Both
-// halves serialise through the same snapshot::Writer/Reader codecs, so
-// a .vsnap file written by `vlsipc snapshot` carries them side by side
-// and `vlsipc resume` picks up exactly where the interrupted run
-// stopped.
+// halves serialise through the same snapshot::Writer/Reader codecs, and
+// a drained worker ships them side by side in a net::CheckpointMsg so a
+// peer picks up exactly where it stopped (daemon/). `vlsipc snapshot`
+// and `vlsipc resume` use a different session: a "vlsipc.session"
+// section (RunSession in tools/vlsipc.cpp) holding one program on one
+// AP, not a ReplayLog.
 //
 // replay_from() is the driver: restore the checkpoint into a chip, then
 // serve jobs [log.next_job ..) sequentially — single-threaded, virtual
@@ -64,7 +66,9 @@ struct ReplayOptions {
 /// Restores `checkpoint` into `chip` (which must be constructed with
 /// the geometry the checkpoint was saved from) and serves
 /// log.jobs[log.next_job ..] in admission order. Throws
-/// snapshot::SnapshotError on a corrupt or mismatched checkpoint.
+/// snapshot::SnapshotError on a checkpoint the chip cannot restore
+/// (corrupt bytes or any geometry mismatch); a job that throws yields a
+/// kError outcome and the rest are still served.
 std::vector<scaling::JobOutcome> replay_from(
     core::VlsiProcessor& chip, const snapshot::Snapshot& checkpoint,
     const ReplayLog& log, const ReplayOptions& options = {});

@@ -11,9 +11,6 @@
 namespace vlsip::snapshot {
 namespace {
 
-/// Container version (shares the VSNP header shape with flat
-/// snapshots; flat stays at kVersionFlat).
-constexpr std::uint32_t kContainerVersion = 2;
 constexpr std::size_t kHeaderBytes = 8;  // magic + version
 
 /// Section modes on the wire.
@@ -185,7 +182,7 @@ bool is_delta(const Snapshot& snap) {
   std::uint32_t magic, version;
   std::memcpy(&magic, b.data(), 4);
   std::memcpy(&version, b.data() + 4, 4);
-  return magic == kMagic && version == kContainerVersion &&
+  return magic == kMagic && version == kVersionContainer &&
          b[kHeaderBytes] == kKindDelta;
 }
 
@@ -205,7 +202,7 @@ Snapshot encode_delta(const Snapshot& base, const SectionIndex& base_index,
   Snapshot out;
   auto& bytes = out.bytes();
   put_u32(bytes, kMagic);
-  put_u32(bytes, kContainerVersion);
+  put_u32(bytes, kVersionContainer);
   bytes.push_back(kKindDelta);
   put_u64(bytes, content_hash64(base.bytes().data(), base.bytes().size()));
   put_u64(bytes, content_hash64(next.bytes().data(), next.bytes().size()));
@@ -284,10 +281,10 @@ StatusOr<Snapshot> apply_delta(const Snapshot& base, const Snapshot& delta) {
     if (magic != kMagic) {
       throw SnapshotError("delta container has wrong magic");
     }
-    if (version != kContainerVersion) {
+    if (version != kVersionContainer) {
       throw SnapshotError("delta container version " +
                           std::to_string(version) + " is not supported (" +
-                          std::to_string(kContainerVersion) + " expected)");
+                          std::to_string(kVersionContainer) + " expected)");
     }
     pos = kHeaderBytes;
     if (d[pos++] != kKindDelta) {

@@ -25,7 +25,7 @@
 //
 // Container layout (after the shared VSNP magic):
 //
-//   u32   kMagic            u32   2 (container version)
+//   u32   kMagic            u32   kVersionContainer (2)
 //   u8    kKindDelta        u64   content_hash64(base bytes)
 //   u64   content_hash64(materialized bytes)
 //   varint materialized size, varint section count, sections...
@@ -34,8 +34,8 @@
 // hashes — a delta applied to the wrong base, a truncated chain, or a
 // flipped bit all fail with Status(kCorruptSnapshot), never a crash and
 // never silently wrong bytes (the fuzz wall in tests/test_fuzz_snapshot
-// attacks exactly this surface). Old readers reject containers cleanly:
-// a version-1 build sees "version 2 is newer than supported".
+// attacks exactly this surface). A flat Reader rejects a container at
+// its header: its stamp, kVersionContainer, is not kVersionFlat.
 #pragma once
 
 #include <cstdint>

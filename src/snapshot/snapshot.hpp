@@ -7,9 +7,11 @@
 // drifts out of sync with the writer fails loudly on the next tag
 // instead of silently misinterpreting bytes.
 //
-// Versioning rule: kVersion bumps whenever the byte layout changes.
-// A reader accepts snapshots at or below its own version and rejects
-// ones from the future with SnapshotError — never a partial restore.
+// Versioning rule: kVersionFlat bumps whenever the flat byte layout
+// changes, and a Reader accepts exactly that version: a future one or
+// an older layout throws SnapshotError before any section is read —
+// never a partial restore. The delta container has its own stamp,
+// kVersionContainer (snapshot/incremental.hpp).
 //
 // Determinism: the encoding has no timestamps, pointers, or hash
 // ordering; saving the same machine state twice yields byte-identical
@@ -26,8 +28,8 @@
 
 namespace vlsip::snapshot {
 
-/// Raised on any malformed snapshot: bad magic, future version,
-/// truncation, section-tag mismatch, or file I/O failure.
+/// Raised on any malformed snapshot: bad magic, a version other than
+/// kVersionFlat, truncation, section-tag mismatch, or file I/O failure.
 class SnapshotError : public std::runtime_error {
  public:
   explicit SnapshotError(const std::string& what)
@@ -36,16 +38,14 @@ class SnapshotError : public std::runtime_error {
 
 /// "VSNP" — identifies a vlsip snapshot byte stream.
 inline constexpr std::uint32_t kMagic = 0x56534E50u;
-/// Newest stream version this build understands. Version 1 is the flat
-/// full-state layout (unchanged since PR 5); version 2 adds the
-/// incremental delta container (snapshot/incremental.hpp). Bump on any
-/// encoding change.
-inline constexpr std::uint32_t kVersion = 2;
-/// The version flat full-state snapshots are written at. Their byte
-/// layout did not change when the delta container was introduced, so
-/// Writer keeps stamping 1 and every v1 snapshot ever written still
-/// round-trips byte-identically.
-inline constexpr std::uint32_t kVersionFlat = 1;
+/// The version flat full-state snapshots (and wire payloads) are
+/// written at, and the only one a Reader accepts. Version 1 was the
+/// first flat layout; version 3 drops the fields kept only for byte
+/// compatibility (docs/SNAPSHOT.md, "Versions").
+inline constexpr std::uint32_t kVersionFlat = 3;
+/// The version incremental delta containers are stamped with
+/// (snapshot/incremental.hpp); a Reader never parses one.
+inline constexpr std::uint32_t kVersionContainer = 2;
 
 /// Byte offsets of the tagged sections inside one flat snapshot,
 /// recorded as a side channel while a Writer serialises (see
@@ -145,17 +145,21 @@ class Writer {
 };
 
 /// Bounds-checked sequential reads from a Snapshot. The constructor
-/// validates the header: wrong magic and future versions both throw.
+/// validates the header: wrong magic and any version but kVersionFlat
+/// throw.
 class Reader {
  public:
   explicit Reader(const Snapshot& snap) : in_(snap.bytes()) {
     if (in_.size() < 8) throw SnapshotError("snapshot truncated: no header");
     if (u32() != kMagic) throw SnapshotError("snapshot has wrong magic");
     version_ = u32();
-    if (version_ > kVersion) {
-      throw SnapshotError("snapshot version " + std::to_string(version_) +
-                          " is newer than supported version " +
-                          std::to_string(kVersion));
+    if (version_ != kVersionFlat) {
+      throw SnapshotError(
+          "snapshot version " + std::to_string(version_) +
+          (version_ > kVersionFlat ? " is newer than"
+                                   : " is an older layout than") +
+          " flat version " + std::to_string(kVersionFlat) +
+          ", the only one this build reads");
     }
   }
 

@@ -414,8 +414,8 @@ TEST(Wsrf, MatchesNaiveModel) {
             << "seed " << seed << " step " << step << " id " << probe;
         ASSERT_EQ(w.active(probe), m != model.end() && m->active);
       }
-      // The ap.wsrf bytes: the model's entries oldest first, channel
-      // slot absent; a restored twin saves the same bytes.
+      // The ap.wsrf bytes: the model's entries (id, pinned) oldest
+      // first; a restored twin saves the same bytes.
       snapshot::Snapshot expected;
       snapshot::Writer out(expected);
       out.section("ap.wsrf");
@@ -423,8 +423,6 @@ TEST(Wsrf, MatchesNaiveModel) {
       out.u64(model.size());
       for (const Tag& t : model) {
         out.u32(t.id);
-        out.b(false);
-        out.u32(0);
         out.b(t.active);
       }
       out.u64(retirements);

@@ -2,6 +2,8 @@
 // consistent with object placement across stack shifts and swaps.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "ap/object_space.hpp"
 #include "ap/pipeline.hpp"
 #include "common/require.hpp"
@@ -122,25 +124,64 @@ TEST_F(ChainFixture, RoutabilityFailureCounted) {
   EXPECT_EQ(cs.unrouted_resident(), 1u);
 }
 
-TEST_F(ChainFixture, RefreshSkipsWhenNothingChanged) {
-  space.insert_top(1);
-  space.insert_top(2);
-  chains.add(1, 2, 0);
-  const auto n0 = chains.rebuilds();
-  const auto f0 = chains.refresh();
-  EXPECT_EQ(chains.rebuilds(), n0 + 1);
-  // No placement / claim / chain change since: the pass is skipped but
-  // the cached failure count is still reported.
-  EXPECT_EQ(chains.refresh(), f0);
-  EXPECT_EQ(chains.rebuilds(), n0 + 1);
-  // A placement change invalidates the memo.
-  space.insert_top(3);
-  chains.refresh();
-  EXPECT_EQ(chains.rebuilds(), n0 + 2);
-  // So does adding a chain, even with placement unchanged.
-  chains.add(3, 1, 0);
-  chains.refresh();
-  EXPECT_EQ(chains.rebuilds(), n0 + 3);
+TEST_F(ChainFixture, RepeatedRefreshKeepsRoutesAndFailureCount) {
+  // One channel, two overlapping chains: one routes, one fails. A
+  // second refresh with nothing moved re-runs the pass, keeps the routed
+  // chain's route and reports the same failure.
+  csd::DynamicCsdNetwork tiny(csd::CsdConfig{8, 1});
+  ObjectSpace s(4);
+  ChainSet cs(tiny, s);
+  for (arch::ObjectId id = 0; id < 4; ++id) s.insert_top(id);
+  cs.add(0, 3, 0);
+  cs.add(1, 2, 0);
+  const auto n0 = cs.rebuilds();
+  const auto f0 = cs.refresh();
+  EXPECT_EQ(f0, 1u);
+  std::vector<csd::RouteId> routes;
+  for (const auto& c : cs.chains()) routes.push_back(c.route);
+  EXPECT_EQ(cs.refresh(), f0);
+  EXPECT_EQ(cs.rebuilds(), n0 + 2);
+  for (std::size_t i = 0; i < routes.size(); ++i) {
+    EXPECT_EQ(cs.chains()[i].route, routes[i]) << "chain " << i;
+  }
+  EXPECT_EQ(tiny.active_routes(), 1u);
+}
+
+TEST_F(ChainFixture, RouteDroppedByKilledSegmentIsRequestedAgain) {
+  // One channel: killing the segment under the only route drops it
+  // (no channel left to reroute onto). The chain must not keep the
+  // dead route: refresh re-requests it, and neither a later shift nor
+  // clear() releases a route the network no longer holds.
+  csd::DynamicCsdNetwork tiny(csd::CsdConfig{8, 1});
+  ObjectSpace s(6);
+  ChainSet cs(tiny, s);
+  s.insert_top(1);
+  s.insert_top(2);
+  cs.add(1, 2, 0);  // positions 1 -> 0
+  ASSERT_EQ(cs.refresh(), 0u);
+  const auto kill = tiny.kill_segment(0, 0);
+  ASSERT_EQ(kill.dropped, 1u);
+  EXPECT_EQ(cs.refresh(), 1u);  // the dead segment blocks the only span
+  EXPECT_EQ(cs.routed(), 0u);
+  s.insert_top(3);  // positions 2 -> 1: a healthy span
+  EXPECT_EQ(cs.refresh(), 0u);
+  EXPECT_EQ(cs.routed(), 1u);
+  EXPECT_EQ(tiny.active_routes(), 1u);
+  cs.clear();
+  EXPECT_EQ(tiny.active_routes(), 0u);
+}
+
+TEST_F(ChainFixture, ClearAfterKilledSegmentDropDoesNotThrow) {
+  csd::DynamicCsdNetwork tiny(csd::CsdConfig{8, 1});
+  ObjectSpace s(6);
+  ChainSet cs(tiny, s);
+  s.insert_top(1);
+  s.insert_top(2);
+  cs.add(1, 2, 0);
+  cs.refresh();
+  ASSERT_EQ(tiny.kill_segment(0, 0).dropped, 1u);
+  EXPECT_NO_THROW(cs.clear());
+  EXPECT_EQ(cs.size(), 0u);
 }
 
 }  // namespace

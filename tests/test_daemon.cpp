@@ -429,6 +429,57 @@ TEST(Daemon, CorruptChainMigrationFallsBackWithZeroJobLoss) {
   EXPECT_EQ(drainee.exit, daemon::WorkerDaemon::Exit::kDrained);
 }
 
+TEST(Daemon, MigrationToMismatchedPeerFallsBackWithZeroJobLoss) {
+  // The peer's routers have deeper queues than the drainee's, so the
+  // migrated checkpoint cannot restore there: the NoC's geometry check
+  // throws PreconditionError, not SnapshotError. The peer must take the
+  // no-job-lost fallback instead of dying on the throw.
+  daemon::HubOptions hub_options;
+  hub_options.assign_window = 32;
+  daemon::Hub hub(hub_options);
+  ASSERT_TRUE(hub.start().ok());
+
+  auto drainee_options = worker_options(hub.address(), "drainee");
+  drainee_options.farm.chip_hz = 50'000.0;
+  WorkerThread drainee(std::move(drainee_options));
+  ASSERT_TRUE(drainee.start().ok());
+
+  const auto jobs = mixed_jobs(40, 61);
+  auto client = net::HubClient::connect({hub.address(), "test"});
+  ASSERT_TRUE(client.ok());
+  for (const auto& job : jobs) ASSERT_TRUE(client->submit(job).ok());
+  auto first = client->collect(2);
+  ASSERT_TRUE(first.ok());
+
+  auto peer_options = worker_options(hub.address(), "peer");
+  peer_options.farm.chip.router.queue_depth *= 2;
+  WorkerThread peer(std::move(peer_options));
+  ASSERT_TRUE(peer.start().ok());
+  ASSERT_TRUE(client->drain_worker(drainee.daemon.id()).ok());
+
+  auto rest = client->collect(jobs.size() - first->size());
+  ASSERT_TRUE(rest.ok()) << rest.status().message();
+
+  ASSERT_EQ(first->size() + rest->size(), jobs.size());
+  std::vector<std::uint64_t> seqs;
+  for (const auto& r : *first) seqs.push_back(r.id);
+  for (const auto& r : *rest) seqs.push_back(r.id);
+  std::sort(seqs.begin(), seqs.end());
+  for (std::size_t i = 0; i < seqs.size(); ++i) EXPECT_EQ(seqs[i], i);
+  for (const auto& r : *rest) {
+    EXPECT_EQ(r.outcome.status, scaling::JobStatus::kCompleted)
+        << r.outcome.name << ": " << r.outcome.detail;
+  }
+  EXPECT_GE(hub.metrics().counters().at("hub.migrations"), 1u);
+
+  ASSERT_TRUE(client->shutdown_hub().ok());
+  hub.wait();
+  hub.stop();
+  drainee.join();
+  peer.join();
+  EXPECT_EQ(drainee.exit, daemon::WorkerDaemon::Exit::kDrained);
+}
+
 TEST(Daemon, ClientWindowBoundsInFlightSubmissions) {
   // Regression for unbounded streaming: with max_in_flight set, the
   // client must never have more than that many unanswered submissions

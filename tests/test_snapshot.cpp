@@ -24,6 +24,7 @@
 #include "core/vlsi_processor.hpp"
 #include "csd/dynamic_csd.hpp"
 #include "fault/fault_plan.hpp"
+#include "noc/router.hpp"
 #include "runtime/chip_farm.hpp"
 #include "runtime/farm_config_builder.hpp"
 #include "runtime/manifest.hpp"
@@ -117,12 +118,13 @@ TEST(SnapshotFormat, RejectsFutureVersion) {
   w.u64(1);
   // The version lives in bytes [4, 8); a reader from today must refuse
   // a snapshot stamped by tomorrow's writer rather than misread it.
-  snap.bytes()[4] = static_cast<std::uint8_t>(snapshot::kVersion + 1);
+  snap.bytes()[4] = static_cast<std::uint8_t>(snapshot::kVersionFlat + 1);
   try {
     snapshot::Reader r(snap);
     FAIL() << "future version accepted";
   } catch (const snapshot::SnapshotError& e) {
-    EXPECT_NE(std::string(e.what()).find("newer"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("is newer than flat version 3"),
+              std::string::npos);
   }
 }
 
@@ -197,8 +199,6 @@ snapshot::Snapshot wsrf_section(int capacity,
   w.u64(ids.size());
   for (const arch::ObjectId id : ids) {
     w.u32(id);
-    w.b(false);
-    w.u32(0);
     w.b(false);
   }
   w.u64(0);
@@ -421,15 +421,14 @@ TEST(ChipCheckpoint, ObjectSpaceLargerThanArrayIsCorrupt) {
 }
 
 TEST(ChipCheckpoint, InconsistentWsrfIsCorrupt) {
-  // ap.wsrf: i32 capacity, u64 count, count x (u32 id, u8 has_channel,
-  // u32 channel, u8 active).
+  // ap.wsrf: i32 capacity, u64 count, count x (u32 id, u8 active).
   for (const bool duplicate : {true, false}) {
     snapshot::Snapshot checkpoint = busy_chip_checkpoint();
     bool patched = false;
     for (const std::size_t at : section_payloads(checkpoint, "ap.wsrf")) {
       if (load<std::uint64_t>(checkpoint, at + 4) < 2) continue;
       const std::size_t ids = at + 12;
-      store<std::uint32_t>(checkpoint, ids + 10,
+      store<std::uint32_t>(checkpoint, ids + 5,
                            duplicate ? load<std::uint32_t>(checkpoint, ids)
                                      : arch::kObjectIdLimit);
       patched = true;
@@ -474,6 +473,119 @@ TEST(ChipCheckpoint, RouteOverDeadSegmentIsCorrupt) {
   core::VlsiProcessor chip(small_chip());
   const Status restored = chip.restore(checkpoint);
   EXPECT_EQ(restored.code(), StatusCode::kCorruptSnapshot)
+      << restored.message();
+}
+
+/// A default 8x8 chip after one fuse and release, saved: every
+/// noc.router section is present and its queues are drained.
+snapshot::Snapshot fused_and_released_checkpoint() {
+  core::VlsiProcessor chip;
+  const auto proc = chip.fuse(4);
+  EXPECT_NE(proc, scaling::kNoProc);
+  chip.release(proc);
+  snapshot::Snapshot checkpoint;
+  EXPECT_TRUE(chip.save(checkpoint).ok());
+  return checkpoint;
+}
+
+TEST(ChipCheckpoint, MalformedRouterQueuesAreCorrupt) {
+  // noc.router: u64 n, n flits of 23 bytes, then kPortCount * kMaxVcs
+  // u32 heads, as many u32 lengths and i32 locks, and kPortCount i32
+  // round-robin pointers. The default router has depth 4 and one VC, so
+  // queues 0..4 exist.
+  constexpr std::size_t kFlitBytes = 23;
+  constexpr std::size_t kSlots = noc::kPortCount * noc::kMaxVcs;
+  struct Patch {
+    const char* what;
+    std::size_t field;  // 0 head, 1 len, 2 owner, 3 rr
+    std::size_t index;
+    std::int32_t value;
+  };
+  const Patch patches[] = {
+      {"head past the ring", 0, 0, 60000},
+      {"head at depth", 0, 0, 4},
+      {"length above depth", 1, 0, 5},
+      {"non-empty queue past the last VC", 1, noc::kPortCount, 1},
+      {"lock naming no queue", 2, 0, noc::kPortCount},
+      {"lock below -1", 2, 0, -2},
+      {"round-robin past the inputs", 3, 0, noc::kPortCount},
+      {"negative round-robin", 3, 0, -1},
+  };
+  for (const Patch& patch : patches) {
+    snapshot::Snapshot checkpoint = fused_and_released_checkpoint();
+    const auto sections = section_payloads(checkpoint, "noc.router");
+    ASSERT_FALSE(sections.empty());
+    const std::size_t at = sections.front();
+    const std::size_t heads =
+        at + 8 + load<std::uint64_t>(checkpoint, at) * kFlitBytes;
+    const std::size_t field = heads + patch.field * kSlots * 4;
+    store<std::int32_t>(checkpoint, field + patch.index * 4, patch.value);
+    if (patch.field == 0) {
+      store<std::uint32_t>(checkpoint, heads + kSlots * 4, 1);  // len_[0]
+    }
+    core::VlsiProcessor chip;
+    const Status restored = chip.restore(checkpoint);
+    EXPECT_EQ(restored.code(), StatusCode::kCorruptSnapshot)
+        << patch.what << ": " << restored.message();
+  }
+  // The unpatched checkpoint restores and the chip keeps serving.
+  core::VlsiProcessor chip;
+  ASSERT_TRUE(chip.restore(fused_and_released_checkpoint()).ok());
+  EXPECT_NE(chip.fuse(4), scaling::kNoProc);
+}
+
+TEST(ChipCheckpoint, ChainRouteNotItsOwnIsCorrupt) {
+  // ap.chain_set: u64 n, n x (u32 source, u32 sink, i32 operand,
+  // u32 route). A route out of the network's range, or one another
+  // chain holds, would make every later release of it throw.
+  core::VlsiProcessor original(small_chip());
+  const auto proc = original.fuse(2);
+  ASSERT_NE(proc, scaling::kNoProc);
+  ASSERT_TRUE(original
+                  .run_program(proc, arch::linear_pipeline_program(6),
+                               {{"in", {arch::make_word_i(5)}}}, 1, 100000)
+                  .exec.completed);
+  snapshot::Snapshot saved;
+  ASSERT_TRUE(original.save(saved).ok());
+  for (const bool shared : {false, true}) {
+    snapshot::Snapshot checkpoint = saved;
+    bool patched = false;
+    for (const std::size_t at : section_payloads(checkpoint, "ap.chain_set")) {
+      std::vector<std::size_t> routed;
+      const auto n = load<std::uint64_t>(checkpoint, at);
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t route = at + 8 + i * 16 + 12;
+        if (load<std::uint32_t>(checkpoint, route) != csd::kNoRoute) {
+          routed.push_back(route);
+        }
+      }
+      if (routed.size() < 2) continue;
+      store<std::uint32_t>(
+          checkpoint, routed[0],
+          shared ? load<std::uint32_t>(checkpoint, routed[1]) : 60000u);
+      patched = true;
+      break;
+    }
+    ASSERT_TRUE(patched);
+    core::VlsiProcessor chip(small_chip());
+    const Status restored = chip.restore(checkpoint);
+    EXPECT_EQ(restored.code(), StatusCode::kCorruptSnapshot)
+        << (shared ? "shared route: " : "route 60000: ") << restored.message();
+  }
+  core::VlsiProcessor chip(small_chip());
+  EXPECT_TRUE(chip.restore(saved).ok());
+}
+
+TEST(ChipCheckpoint, OlderFlatLayoutIsCorrupt) {
+  // Version 1 flat snapshots carried fields layout 3 dropped; no reader
+  // for them is kept, so the header alone rejects one.
+  core::VlsiProcessor chip(small_chip());
+  snapshot::Snapshot checkpoint;
+  ASSERT_TRUE(chip.save(checkpoint).ok());
+  store<std::uint32_t>(checkpoint, 4, 1);
+  const Status restored = chip.restore(checkpoint);
+  EXPECT_EQ(restored.code(), StatusCode::kCorruptSnapshot);
+  EXPECT_NE(restored.message().find("older layout"), std::string::npos)
       << restored.message();
 }
 
@@ -674,16 +786,16 @@ TEST(FarmCheckpoint, SecondQuarantineBeforeNextCheckpointRestoresAgain) {
 
 // --- incremental checkpoints ----------------------------------------------
 
-TEST(IncrementalCheckpoint, FlatSnapshotsStillStampVersionOne) {
-  // Backward compatibility hinges on the flat layout being untouched:
-  // the Writer stamps kVersionFlat, so every v1 snapshot ever written
-  // (and every new flat one) reads identically on both sides of the
-  // version bump.
+TEST(IncrementalCheckpoint, FlatSnapshotsStampVersionThree) {
+  // Flat snapshots carry layout 3; the delta container keeps its own
+  // stamp, 2, so the two never read as each other.
   core::VlsiProcessor chip(small_chip());
   snapshot::Snapshot snap;
   ASSERT_TRUE(chip.save(snap).ok());
   snapshot::Reader r(snap);
-  EXPECT_EQ(r.version(), snapshot::kVersionFlat);
+  EXPECT_EQ(r.version(), 3u);
+  EXPECT_EQ(snapshot::kVersionFlat, 3u);
+  EXPECT_NE(snapshot::kVersionFlat, snapshot::kVersionContainer);
   EXPECT_FALSE(snapshot::is_delta(snap));
 }
 

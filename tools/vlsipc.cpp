@@ -1292,11 +1292,11 @@ int cmd_worker(int argc, char** argv) {
   if (!opts.parse(argc, argv, &rc)) return rc;
   if (worker_opts.hub.empty()) return opts.error("worker needs --hub ADDR");
   if (workers != kUnset) farm.workers(workers);
-  if (ckpt_batches != kUnset) farm.checkpoint_every_batches(ckpt_batches);
+  if (ckpt_batches != kUnset) farm.checkpoint_every(ckpt_batches);
   if (incremental) farm.incremental_checkpoints(true);
   if (keyframe_every != kUnset) farm.checkpoint_keyframe_every(keyframe_every);
   if (dvs) farm.raw().dvs.enabled = true;
-  if (energy_budget > 0) farm.energy_budget(energy_budget);
+  if (energy_budget > 0) farm.dvs(energy_budget);
   if (p99_guardrail > 0) farm.p99_guardrail(p99_guardrail);
   farm.batch(batch_jobs);
   farm.queue(queue_capacity, /*block_when_full=*/true);
